@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from . import diagnostics as diag
 from . import io as gio
 from .dynamics import DynamicsConfig, rhs
 from .graph import CsbmConfig, csbm_generate
+from .kernels import KernelSpec
 from .solvers import NumericalError, SolverConfig, integrate
 from .training import TrainConfig, accuracy, forward, gradient_check, train
 
@@ -58,11 +60,19 @@ def _load_config(path) -> dict:
         return json.load(fh)
 
 
-def _merge(defaults: dict, config: dict, flags: dict) -> dict:
-    """Resolve values by precedence: flags over config file over defaults."""
-    out = dict(defaults)
-    out.update({k: v for k, v in config.items() if v is not None})
-    out.update({k: v for k, v in flags.items() if v is not None})
+def _merge(*layers: dict) -> dict:
+    """Resolve values by precedence, later layers over earlier ones.
+
+    A dict value updates the dict it overrides key by key, one level deep,
+    so a flag can set one solver or kernel knob and keep the others.
+    """
+    out: dict = {}
+    for layer in layers:
+        for key, value in layer.items():
+            if isinstance(value, dict) and isinstance(out.get(key), dict):
+                value = {**out[key], **{k: v for k, v in value.items() if v is not None}}
+            if value is not None:
+                out[key] = value
     return out
 
 
@@ -77,49 +87,6 @@ def _manifest(command: str, config: dict, seed, inputs, outputs, started: float)
         "threads": _threads(),
         "duration_s": time.time() - started,
     }
-
-
-def _solver_from(resolved: dict) -> SolverConfig:
-    return SolverConfig(
-        method=resolved["method"],
-        step=float(resolved["step"]),
-        horizon=float(resolved["horizon"]),
-        rel_tol=float(resolved["rel_tol"]),
-        abs_tol=float(resolved["abs_tol"]),
-        record_every=int(resolved["record_every"]),
-    )
-
-
-def _dynamics_from(resolved: dict) -> DynamicsConfig:
-    kernel_obj = resolved.get("kernel") or {}
-    if isinstance(kernel_obj, str):
-        kernel_obj = {"kind": kernel_obj}
-    dyn_json = {
-        "activation": resolved["activation"],
-        "adjacency_mode": resolved["adjacency_mode"],
-        "kernel": kernel_obj,
-        "diffusion_on": resolved["diffusion_on"],
-        "aggregation_on": resolved["aggregation_on"],
-    }
-    if resolved.get("attention") is not None:
-        dyn_json["attention"] = resolved["attention"]
-    return DynamicsConfig.from_json(dyn_json)
-
-
-_SIM_DEFAULTS = {
-    "activation": "tanh",
-    "adjacency_mode": "static_row_normalized",
-    "kernel": {"kind": "gaussian"},
-    "diffusion_on": True,
-    "aggregation_on": True,
-    "attention": None,
-    "method": "euler",
-    "step": 1.0,
-    "horizon": 40.0,
-    "rel_tol": 1e-6,
-    "abs_tol": 1e-9,
-    "record_every": 1,
-}
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
@@ -159,15 +126,13 @@ def _sim_flags(args) -> dict:
 
 def _run_simulation(args):
     ds = gio.read_dataset(args.dataset)
-    resolved = _merge(_SIM_DEFAULTS, _load_config(args.config), _sim_flags(args))
-    # a kernel kind flag overrides only the kind, keeping config-file knobs
-    cfg_kernel = _load_config(args.config).get("kernel") or {}
-    if args.kernel and isinstance(cfg_kernel, dict) and cfg_kernel:
-        merged_kernel = dict(cfg_kernel)
-        merged_kernel["kind"] = args.kernel
-        resolved["kernel"] = merged_kernel
-    dyn = _dynamics_from(resolved)
-    solver = _solver_from(resolved)
+    config = _load_config(args.config)
+    if isinstance(config.get("kernel"), str):
+        config["kernel"] = {"kind": config["kernel"]}
+    defaults = {**DynamicsConfig().to_json(), **SolverConfig().to_json()}
+    resolved = _merge(defaults, config, _sim_flags(args))
+    dyn = DynamicsConfig.from_json(resolved)
+    solver = SolverConfig.from_json(resolved)
     traj = integrate(lambda X, t: rhs(dyn, ds.graph, X, t), ds.features, solver)
     return ds, resolved, traj
 
@@ -270,50 +235,24 @@ def _cmd_grad_check(args) -> int:
     return NUMERICAL_ERROR
 
 
-def _train_default_dynamics() -> dict:
-    return {
-        "activation": "tanh",
-        "adjacency_mode": "static_row_normalized",
-        "kernel": {"kind": "gaussian", "normalize_rows": True},
-        "diffusion_on": True,
-        "aggregation_on": True,
-    }
-
-
 def _cmd_train(args) -> int:
     started = time.time()
     ds = gio.read_dataset(args.dataset)
-    config = _load_config(args.config)
-    defaults = {
-        "learning_rate": 0.2, "epochs": 100, "weight_decay": 1e-3,
-        "seed": 0, "hidden": 8,
-        "dynamics": _train_default_dynamics(), "solver": {
-            "method": "euler", "step": 0.5, "horizon": 1.0,
-        },
-    }
+    # the command's own default kernel is row-normalized
+    base = TrainConfig(dynamics=DynamicsConfig(kernel=KernelSpec("gaussian", normalize_rows=True)))
+    scalars = {f.name: getattr(base, f.name) for f in fields(base)
+               if f.name not in ("dynamics", "solver")}
+    defaults = {"dynamics": base.dynamics.to_json(), "solver": base.solver.to_json(), **scalars}
     flags = {
         "learning_rate": args.lr, "epochs": args.epochs,
         "weight_decay": args.weight_decay, "seed": args.seed, "hidden": args.hidden,
+        "solver": {"method": args.method, "step": args.step, "horizon": args.horizon},
     }
-    resolved = _merge(defaults, config, flags)
-    solver_obj = dict(defaults["solver"])
-    solver_obj.update(config.get("solver") or {})
-    for key, val in (("method", args.method), ("step", args.step), ("horizon", args.horizon)):
-        if val is not None:
-            solver_obj[key] = val
-    dynamics_obj = dict(defaults["dynamics"])
-    dynamics_obj.update(config.get("dynamics") or {})
-    resolved["solver"] = solver_obj
-    resolved["dynamics"] = dynamics_obj
-
+    resolved = _merge(defaults, _load_config(args.config), flags)
     cfg = TrainConfig(
-        dynamics=DynamicsConfig.from_json(dynamics_obj),
-        solver=SolverConfig.from_json(solver_obj),
-        learning_rate=float(resolved["learning_rate"]),
-        epochs=int(resolved["epochs"]),
-        weight_decay=float(resolved["weight_decay"]),
-        seed=int(resolved["seed"]),
-        hidden=int(resolved["hidden"]),
+        dynamics=DynamicsConfig.from_json(resolved["dynamics"]),
+        solver=SolverConfig.from_json(resolved["solver"]),
+        **{name: type(value)(resolved[name]) for name, value in scalars.items()},
     )
     params, metrics = train(ds, cfg)
 

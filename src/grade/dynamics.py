@@ -27,8 +27,8 @@ from .kernels import (
     KernelMatrix,
     ProjectionParams,
     attention_arc_values,
-    kernel_arc_values,
-    normalized_kernel_arc_values,
+    attention_projection,
+    kernel_weights,
 )
 
 __all__ = [
@@ -117,7 +117,7 @@ def attention_adjacency(X: np.ndarray, p: ProjectionParams, g: Graph) -> sp.csr_
     dot-product score; rows sum to one.
     """
     X = np.asarray(X, dtype=np.float64)
-    vals = attention_arc_values(ad.constant(X), ad.constant(p.theta), p, g).data
+    vals = attention_arc_values(X, *attention_projection(p), g).data.reshape(-1)
     return sp.csr_array((vals, g.arc_dst, g.arc_offsets), shape=(g.n, g.n))
 
 
@@ -176,31 +176,14 @@ def rhs_ops(
     if cfg.diffusion_on:
         sX = cfg.activation.apply(X)
         if cfg.adjacency_mode == "attention":
-            if cfg.attention is None:
-                raise ValueError("attention adjacency requires projection parameters")
-            th = theta if theta is not None else ad.constant(cfg.attention.theta)
-            alpha = ad.reshape(
-                attention_arc_values(X, th, cfg.attention, g), (g.arc_src.size, 1)
-            )
+            alpha = attention_arc_values(X, *attention_projection(cfg.attention, theta), g)
         else:
             alpha = ad.constant(g.static_arc_coeff.reshape(-1, 1))
         agg_in = ad.segment_sum(ad.mul(alpha, ad.gather_rows(sX, g.arc_dst)), g.arc_src, g.n)
         parts.append(ad.sub(agg_in, sX))
 
     if cfg.aggregation_on:
-        spec = cfg.kernel
-        if spec.kind == "attention":
-            params = spec.theta if spec.theta is not None else cfg.attention
-            if params is None:
-                raise ValueError("attention kernel requires projection parameters")
-            th = theta if theta is not None else ad.constant(params.theta)
-            kvals = ad.reshape(
-                attention_arc_values(X, th, params, g), (g.arc_src.size, 1)
-            )
-        elif spec.normalize_rows:
-            kvals = normalized_kernel_arc_values(spec, X, g)
-        else:
-            kvals = kernel_arc_values(spec, X, g)
+        kvals = kernel_weights(cfg.kernel, X, g, cfg.attention, theta)
         parts.append(_aggregation_from_kernel(g, kvals, X))
 
     total = parts[0]

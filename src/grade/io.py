@@ -106,33 +106,40 @@ def write_dataset(ds: Dataset, out_dir) -> None:
             )
 
 
+def _by_node(rows: list[list[str]], n: int, where: str) -> list[list[str]]:
+    """The rows of a per-node table ordered by node id; each id in [0, n) exactly once."""
+    by_node: dict[int, list[str]] = {}
+    for row in rows:
+        node = int(row[0])
+        if not 0 <= node < n:
+            raise ValueError(f"{where}: node {node} is out of range for {n} nodes")
+        if node in by_node:
+            raise ValueError(f"{where}: node {node} appears more than once")
+        by_node[node] = row[1:]
+    if len(by_node) < n:
+        missing = min(set(range(n)) - by_node.keys())
+        raise ValueError(f"{where}: node {missing} is missing")
+    return [by_node[i] for i in range(n)]
+
+
+def _read_table(path, n: int) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return _by_node(list(csv.reader(fh))[1:], n, str(path))
+
+
 def read_dataset(in_dir) -> Dataset:
+    """Read a bundle; every per-node file must list each node exactly once."""
     src = Path(in_dir)
     for name in ("graph.txt", "features.csv", "labels.csv", "masks.csv"):
         if not (src / name).exists():
             raise FileNotFoundError(f"dataset bundle is missing {name}")
     graph = read_edge_list(src / "graph.txt")
+    n = graph.n
 
-    with open(src / "features.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    d = len(rows[0]) - 1
-    features = np.zeros((graph.n, d))
-    for row in rows[1:]:
-        features[int(row[0])] = [float(x) for x in row[1:]]
-
-    labels = np.zeros(graph.n, dtype=np.int64)
-    with open(src / "labels.csv", newline="") as fh:
-        for row in list(csv.reader(fh))[1:]:
-            labels[int(row[0])] = int(row[1])
-
-    train = np.zeros(graph.n, dtype=bool)
-    val = np.zeros(graph.n, dtype=bool)
-    test = np.zeros(graph.n, dtype=bool)
-    with open(src / "masks.csv", newline="") as fh:
-        for row in list(csv.reader(fh))[1:]:
-            i = int(row[0])
-            train[i], val[i], test[i] = bool(int(row[1])), bool(int(row[2])), bool(int(row[3]))
-    return Dataset(graph, features, labels, train, val, test)
+    features = np.array([[float(x) for x in row] for row in _read_table(src / "features.csv", n)])
+    labels = np.array([int(row[0]) for row in _read_table(src / "labels.csv", n)], dtype=np.int64)
+    masks = np.array([[bool(int(x)) for x in row[:3]] for row in _read_table(src / "masks.csv", n)])
+    return Dataset(graph, features, labels, *masks.T)
 
 
 # ------------------------------------------------------------- trajectories
@@ -150,22 +157,20 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def read_trajectory_csv(path) -> Trajectory:
+    """Read the long format; every record must list the first record's nodes exactly once."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    d = len(rows[0]) - 2
-    by_time: dict[float, list[tuple[int, list[float]]]] = {}
-    order: list[float] = []
+    by_time: dict[float, list[list[str]]] = {}
     for row in rows[1:]:
-        t = float(row[0])
-        if t not in by_time:
-            by_time[t] = []
-            order.append(t)
-        by_time[t].append((int(row[1]), [float(x) for x in row[2:]]))
+        by_time.setdefault(float(row[0]), []).append(row[1:])
+    if not by_time:
+        raise ValueError(f"{path}: no records")
+    order = list(by_time)
     n = len(by_time[order[0]])
-    states = np.zeros((len(order), n, d))
-    for k, t in enumerate(order):
-        for node, feats in by_time[t]:
-            states[k, node] = feats
+    states = np.array([
+        [[float(x) for x in feats] for feats in _by_node(by_time[t], n, f"{path} at t={t:.17g}")]
+        for t in order
+    ])
     return Trajectory(np.asarray(order), states, step_count=max(len(order) - 1, 0))
 
 

@@ -8,7 +8,7 @@ sees the blow-up at coincident features.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,26 +79,12 @@ class KernelSpec:
 
     def to_json(self) -> dict:
         # theta travels with model parameters, not with the kernel config
-        return {
-            "kind": self.kind,
-            "delta": self.delta,
-            "bandwidth": self.bandwidth,
-            "normalize_rows": self.normalize_rows,
-            "singularity_floor": self.singularity_floor,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "theta"}
 
     @classmethod
     def from_json(cls, obj: dict) -> "KernelSpec":
-        return cls(
-            kind=obj["kind"],
-            delta=float(obj.get("delta", 0.0)),
-            bandwidth=float(obj.get("bandwidth", 1.0)),
-            normalize_rows=bool(obj.get("normalize_rows", False)),
-            singularity_floor=float(obj.get("singularity_floor", 1e-6)),
-        )
-
-    def with_theta(self, theta: ProjectionParams) -> "KernelSpec":
-        return replace(self, theta=theta)
+        knobs = [f for f in fields(cls) if f.name not in ("kind", "theta") and f.name in obj]
+        return cls(obj["kind"], **{f.name: type(f.default)(obj[f.name]) for f in knobs})
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +125,27 @@ def kernel_scalar(spec: KernelSpec, z) -> float:
     return float(r ** (-2.0 - spec.delta))
 
 
+def attention_projection(params: ProjectionParams | None, theta: ad.Tensor | None = None):
+    """Projection matrix and score scale of one attention evaluation.
+
+    ``theta``, when given, replaces the matrix of ``params`` (the training
+    unroll passes its parameter tensor so gradients reach it); without
+    ``params`` the scale is then the projected dimension.
+    """
+    if theta is not None:
+        return theta, params.scale if params is not None else float(theta.data.shape[0])
+    if params is None:
+        raise ValueError("attention needs projection parameters")
+    return ad.constant(params.theta), params.scale
+
+
+def _node_rows(X, g: Graph) -> ad.Tensor:
+    X = ad.constant(X)
+    if X.data.shape[0] != g.n:
+        raise ValueError("feature row count must equal node count")
+    return X
+
+
 def _attention_scores(X: ad.Tensor, theta: ad.Tensor, scale: float, g: Graph) -> ad.Tensor:
     """Flat per-arc scores (theta x_u)^T (theta x_v) / scale."""
     proj = ad.matmul(X, theta, transpose_b=True)
@@ -149,30 +156,29 @@ def _attention_scores(X: ad.Tensor, theta: ad.Tensor, scale: float, g: Graph) ->
     return ad.reshape(ad.mul(s, 1.0 / scale), (g.arc_src.size,))
 
 
-def attention_arc_values(X, theta: ad.Tensor, params: ProjectionParams, g: Graph) -> ad.Tensor:
-    """Per-arc attention weights: softmax over each source neighborhood."""
+def attention_arc_values(X, theta: ad.Tensor, scale: float, g: Graph) -> ad.Tensor:
+    """Per-arc attention weights, as a column: softmax over each source neighborhood."""
     if np.any(g.degree == 0):
         empty = int(np.flatnonzero(g.degree == 0)[0])
         raise ValueError(f"attention undefined: node {empty} has no neighbors")
-    X = ad.constant(X)
+    X = _node_rows(X, g)
     if theta.data.shape[1] != X.data.shape[1]:
         raise ValueError("projection theta columns must match feature dimension")
-    scores = _attention_scores(X, theta, params.scale, g)
-    return ad.segment_softmax(scores, g.arc_offsets)
+    scores = _attention_scores(X, theta, scale, g)
+    return ad.reshape(ad.segment_softmax(scores, g.arc_offsets), (g.arc_src.size, 1))
+
+
+def _arc_differences(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
+    """x_u - x_v on every arc, for a radial kernel and one feature row per node."""
+    X = _node_rows(X, g)
+    if spec.kind == "attention":
+        raise ValueError("attention kernel is not radial; use kernel_weights")
+    return ad.sub(ad.gather_rows(X, g.arc_src), ad.gather_rows(X, g.arc_dst))
 
 
 def kernel_arc_values(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
-    """Differentiable per-arc kernel values kappa(x_u - x_v), as a column."""
-    X = ad.constant(X)
-    if X.data.shape[0] != g.n:
-        raise ValueError("feature row count must equal node count")
-    if spec.kind == "attention":
-        if spec.theta is None:
-            raise ValueError("attention kernel needs projection parameters")
-        vals = attention_arc_values(X, ad.constant(spec.theta.theta), spec.theta, g)
-        return ad.reshape(vals, (g.arc_src.size, 1))
-
-    diff = ad.sub(ad.gather_rows(X, g.arc_src), ad.gather_rows(X, g.arc_dst))
+    """Differentiable per-arc radial kernel values kappa(x_u - x_v), as a column."""
+    diff = _arc_differences(spec, X, g)
     if spec.kind == "gaussian":
         sq = ad.reduce_sum(ad.mul(diff, diff), axis=1)
         return ad.exp(ad.mul(sq, -1.0 / (2.0 * spec.bandwidth ** 2)))
@@ -183,7 +189,7 @@ def kernel_arc_values(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
 
 
 def normalized_kernel_arc_values(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
-    """Row-normalized kernel values with stable gradients.
+    """Row-normalized radial kernel values with stable gradients.
 
     Gaussian and power kernels are positive exponential families, so their
     normalized rows equal a per-neighborhood softmax of the log-kernel
@@ -191,14 +197,8 @@ def normalized_kernel_arc_values(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
     when raw row sums underflow. The log kernel has no such form and falls
     back to explicit division, rejecting nonpositive row sums.
     """
-    X = ad.constant(X)
-    if X.data.shape[0] != g.n:
-        raise ValueError("feature row count must equal node count")
-    if spec.kind == "attention":
-        raise ValueError("attention kernel is row-normalized by construction")
+    diff = _arc_differences(spec, X, g)
     m = g.arc_src.size
-
-    diff = ad.sub(ad.gather_rows(X, g.arc_src), ad.gather_rows(X, g.arc_dst))
     if spec.kind == "gaussian":
         sq = ad.reduce_sum(ad.mul(diff, diff), axis=1)
         scores = ad.mul(sq, -1.0 / (2.0 * spec.bandwidth ** 2))
@@ -215,21 +215,40 @@ def normalized_kernel_arc_values(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
     return ad.reshape(soft, (m, 1))
 
 
+def kernel_weights(
+    spec: KernelSpec,
+    X,
+    g: Graph,
+    attention: ProjectionParams | None = None,
+    theta: ad.Tensor | None = None,
+) -> ad.Tensor:
+    """The per-arc kernel column of the dynamics, and of :func:`kernel_matrix`.
+
+    Attention is the projected softmax, with its projection taken from
+    ``spec.theta``, else from ``attention``, and its matrix overridden by
+    ``theta``; a radial kernel with ``normalize_rows`` is the
+    per-neighborhood softmax of :func:`normalized_kernel_arc_values`;
+    otherwise it is the raw radial kernel.
+    """
+    if spec.kind == "attention":
+        params = spec.theta if spec.theta is not None else attention
+        return attention_arc_values(X, *attention_projection(params, theta), g)
+    if spec.normalize_rows:
+        return normalized_kernel_arc_values(spec, X, g)
+    return kernel_arc_values(spec, X, g)
+
+
 def kernel_matrix(spec: KernelSpec, X: np.ndarray, g: Graph) -> KernelMatrix:
     """Evaluate the kernel on every edge of ``g`` at state ``X``.
 
-    Radial kinds give a symmetric matrix; the attention kind is
-    row-normalized by construction and generally asymmetric. With
-    ``normalize_rows`` set, nonzero rows are rescaled to sum to one.
+    The values are exactly those the dynamics use (:func:`kernel_weights`).
+    Radial kinds give a symmetric matrix; the attention kind and a
+    ``normalize_rows`` kernel are row-stochastic and generally asymmetric.
     """
     X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise ValueError("state matrix must be finite")
-    values = kernel_arc_values(spec, X, g).data.reshape(-1)
-    km = KernelMatrix(g, values)
-    if spec.normalize_rows and spec.kind != "attention":
-        km = row_normalize(km)
-    return km
+    return KernelMatrix(g, kernel_weights(spec, X, g).data.reshape(-1))
 
 
 def row_normalize(k: KernelMatrix) -> KernelMatrix:

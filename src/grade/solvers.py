@@ -9,7 +9,7 @@ on plain arrays and records a :class:`Trajectory`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "rk4_step",
     "integrate",
     "fixed_step_sizes",
+    "fixed_steps",
 ]
 
 FIXED_STEP_METHODS = ("euler", "rk4")
@@ -89,28 +90,11 @@ class SolverConfig:
             raise ValueError("record_every must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "step": self.step,
-            "horizon": self.horizon,
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "max_steps": self.max_steps,
-            "record_every": self.record_every,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SolverConfig":
-        defaults = cls()
-        return cls(
-            method=obj.get("method", defaults.method),
-            step=float(obj.get("step", defaults.step)),
-            horizon=float(obj.get("horizon", defaults.horizon)),
-            rel_tol=float(obj.get("rel_tol", defaults.rel_tol)),
-            abs_tol=float(obj.get("abs_tol", defaults.abs_tol)),
-            max_steps=int(obj.get("max_steps", defaults.max_steps)),
-            record_every=int(obj.get("record_every", defaults.record_every)),
-        )
+        return cls(**{f.name: type(f.default)(obj[f.name]) for f in fields(cls) if f.name in obj})
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +104,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (records, n, d)
     step_count: int
-    diagnostics: dict[str, np.ndarray] | None = None
     max_error_ratio: float | None = None
 
     def __post_init__(self):
@@ -168,6 +151,24 @@ def fixed_step_sizes(horizon: float, step: float) -> list[float]:
     return sizes
 
 
+def fixed_steps(f, X, cfg: SolverConfig):
+    """Walk the fixed-step grid of ``cfg`` from state ``X`` at t=0.
+
+    Yields ``(t, X)`` after each step; the last t is exactly the horizon.
+    Duck-typed over the state like the step functions. Overflow is not an
+    error here: it surfaces as a non-finite state, which the caller checks
+    and reports with its own diagnostic.
+    """
+    stepper = euler_step if cfg.method == "euler" else rk4_step
+    sizes = fixed_step_sizes(cfg.horizon, cfg.step)
+    t = 0.0
+    for k, h in enumerate(sizes):
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = stepper(f, X, t, h)
+        t = cfg.horizon if k == len(sizes) - 1 else t + h
+        yield t, X
+
+
 def _check_finite(X: np.ndarray, t: float) -> None:
     if not np.all(np.isfinite(X)):
         raise NumericalError(f"state became non-finite at t={t:.6g}")
@@ -194,22 +195,17 @@ def _initial_step(f, X0, f0, cfg: SolverConfig) -> float:
 
 
 def _integrate_fixed(f, X0, cfg: SolverConfig):
-    stepper = euler_step if cfg.method == "euler" else rk4_step
     times = [0.0]
     states = [X0.copy()]
-    X, t = X0, 0.0
-    sizes = fixed_step_sizes(cfg.horizon, cfg.step)
-    for k, h in enumerate(sizes):
-        # overflow here is not an error per se: it surfaces as a non-finite
-        # state, which the next line escalates with a diagnostic
-        with np.errstate(over="ignore", invalid="ignore"):
-            X = stepper(f, X, t, h)
-        t = cfg.horizon if k == len(sizes) - 1 else t + h
+    for k, (t, X) in enumerate(fixed_steps(f, X0, cfg), start=1):
         _check_finite(X, t)
-        if (k + 1) % cfg.record_every == 0 or k == len(sizes) - 1:
+        if k % cfg.record_every == 0:
             times.append(t)
             states.append(X.copy())
-    return times, states, len(sizes), None
+    if times[-1] != t:
+        times.append(t)
+        states.append(X.copy())
+    return times, states, k, None
 
 
 def _integrate_dopri5(f, X0, cfg: SolverConfig):

@@ -8,7 +8,7 @@ checkable against central finite differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -16,15 +16,7 @@ from . import autodiff as ad
 from .dynamics import DynamicsConfig, rhs_ops
 from .graph import Dataset
 from .kernels import ProjectionParams
-from .solvers import (
-    FIXED_STEP_METHODS,
-    NumericalError,
-    SolverConfig,
-    Trajectory,
-    euler_step,
-    fixed_step_sizes,
-    rk4_step,
-)
+from .solvers import FIXED_STEP_METHODS, NumericalError, SolverConfig, Trajectory, fixed_steps
 
 __all__ = [
     "ModelParams",
@@ -53,46 +45,20 @@ class ModelParams:
     theta: np.ndarray | None = None  # (k, h) projection matrix, when attention is used
 
     def fields(self) -> list[tuple[str, np.ndarray]]:
-        out = [
-            ("enc_weight", self.enc_weight),
-            ("enc_bias", self.enc_bias),
-            ("dec_weight", self.dec_weight),
-            ("dec_bias", self.dec_bias),
-        ]
-        if self.theta is not None:
-            out.append(("theta", self.theta))
-        return out
+        """(name, array) of every parameter present, in declaration order."""
+        named = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        return [(name, value) for name, value in named if value is not None]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.enc_weight.copy(),
-            self.enc_bias.copy(),
-            self.dec_weight.copy(),
-            self.dec_bias.copy(),
-            None if self.theta is None else self.theta.copy(),
-        )
+        return replace(self, **{name: value.copy() for name, value in self.fields()})
 
     def to_json(self) -> dict:
-        obj = {
-            "enc_weight": self.enc_weight.tolist(),
-            "enc_bias": self.enc_bias.tolist(),
-            "dec_weight": self.dec_weight.tolist(),
-            "dec_bias": self.dec_bias.tolist(),
-        }
-        if self.theta is not None:
-            obj["theta"] = self.theta.tolist()
-        return obj
+        return {name: value.tolist() for name, value in self.fields()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelParams":
-        theta = obj.get("theta")
-        return cls(
-            np.array(obj["enc_weight"], dtype=np.float64),
-            np.array(obj["enc_bias"], dtype=np.float64),
-            np.array(obj["dec_weight"], dtype=np.float64),
-            np.array(obj["dec_bias"], dtype=np.float64),
-            None if theta is None else np.array(theta, dtype=np.float64),
-        )
+        present = [f.name for f in fields(cls) if obj.get(f.name) is not None]
+        return cls(**{name: np.array(obj[name], dtype=np.float64) for name in present})
 
 
 @dataclass(frozen=True)
@@ -154,22 +120,13 @@ def init_params(ds: Dataset, cfg: TrainConfig) -> ModelParams:
     )
 
 
-def _resolve_dynamics(p: ModelParams, cfg: TrainConfig) -> DynamicsConfig:
-    """Inject the model's projection matrix into the dynamics config."""
-    dyn = cfg.dynamics
-    if p.theta is None or not _needs_attention(dyn):
-        return dyn
-    scale = dyn.attention.scale if dyn.attention is not None else float(p.theta.shape[0])
-    return replace(dyn, attention=ProjectionParams(p.theta, scale))
-
-
 def _unroll(p: ModelParams, ds: Dataset, cfg: TrainConfig, leaves: dict[str, ad.Tensor]):
     """Encoder -> K solver steps -> decoder on the tape.
 
     Returns (logits tensor, recorded step states, step times). ``leaves``
-    carries the parameter tensors so callers control requires_grad.
+    carries the parameter tensors so callers control requires_grad; the
+    ``theta`` leaf, when present, is the attention projection matrix.
     """
-    dyn = _resolve_dynamics(p, cfg)
     g = ds.graph
     theta_t = leaves.get("theta")
 
@@ -178,17 +135,11 @@ def _unroll(p: ModelParams, ds: Dataset, cfg: TrainConfig, leaves: dict[str, ad.
     step_times = [0.0]
 
     def f(state, t):
-        return rhs_ops(dyn, g, state, theta=theta_t)
+        return rhs_ops(cfg.dynamics, g, state, theta=theta_t)
 
-    stepper = euler_step if cfg.solver.method == "euler" else rk4_step
-    sizes = fixed_step_sizes(cfg.solver.horizon, cfg.solver.step)
-    t = 0.0
-    for i, h in enumerate(sizes):
-        with np.errstate(over="ignore", invalid="ignore"):
-            X = stepper(f, X, t, h)
-        t = cfg.solver.horizon if i == len(sizes) - 1 else t + h
+    for i, (t, X) in enumerate(fixed_steps(f, X, cfg.solver), start=1):
         if not np.all(np.isfinite(X.data)):
-            raise NumericalError(f"state blew up at unroll step {i + 1} (t={t:.6g})")
+            raise NumericalError(f"state blew up at unroll step {i} (t={t:.6g})")
         step_states.append(X)
         step_times.append(t)
 
@@ -203,16 +154,14 @@ def _param_leaves(p: ModelParams, requires_grad: bool) -> dict[str, ad.Tensor]:
 
 
 def _record_trajectory(step_states, step_times, solver: SolverConfig) -> Trajectory:
-    times = [step_times[0]]
-    states = [step_states[0].data]
+    """Every ``record_every``-th step state plus the last, as :func:`integrate` records."""
     last = len(step_states) - 1
-    for k in range(1, last + 1):
-        if k % solver.record_every == 0 or k == last:
-            times.append(step_times[k])
-            states.append(step_states[k].data)
-    if last == 0:
-        return Trajectory(np.zeros(1), np.asarray([step_states[0].data]), 0)
-    return Trajectory(np.asarray(times), np.asarray(states), last)
+    keep = [0, *range(solver.record_every, last, solver.record_every), last] if last else [0]
+    return Trajectory(
+        np.asarray([step_times[k] for k in keep]),
+        np.asarray([step_states[k].data for k in keep]),
+        last,
+    )
 
 
 def forward(p: ModelParams, ds: Dataset, cfg: TrainConfig):
@@ -263,13 +212,7 @@ def loss_and_grad(p: ModelParams, ds: Dataset, cfg: TrainConfig):
         # a parameter the loss never touches has an exactly zero gradient
         return leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
 
-    grads = ModelParams(
-        enc_weight=grad_of("enc_weight"),
-        enc_bias=grad_of("enc_bias"),
-        dec_weight=grad_of("dec_weight"),
-        dec_bias=grad_of("dec_bias"),
-        theta=grad_of("theta"),
-    )
+    grads = ModelParams(**{f.name: grad_of(f.name) for f in fields(ModelParams)})
     for _, gval in grads.fields():
         if not np.all(np.isfinite(gval)):
             raise NumericalError("non-finite parameter gradient")
@@ -300,10 +243,7 @@ def finite_difference_grad(p: ModelParams, ds: Dataset, cfg: TrainConfig, h: flo
             minus = loss_at(work)
             flat[i] = (plus - minus) / (2.0 * h)
         out[name] = grad
-    return ModelParams(
-        out["enc_weight"], out["enc_bias"], out["dec_weight"], out["dec_bias"],
-        out.get("theta"),
-    )
+    return ModelParams(**out)
 
 
 def _random_instance(seed: int, h: float):

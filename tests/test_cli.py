@@ -190,3 +190,61 @@ def test_bad_threads_env_exits_one(dataset_dir, tmp_path, monkeypatch, capsys):
     assert dispatch(["generate", "--n", "10", "--out", str(tmp_path / "d")]) == 0
     manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
     assert manifest["threads"] == 2
+
+
+def test_config_max_steps_is_honoured(dataset_dir, tmp_path, capsys):
+    cfg = tmp_path / "solver.json"
+    # this run takes 17 accepted steps when the step budget is not applied
+    cfg.write_text(json.dumps({"method": "dopri5", "max_steps": 3,
+                               "aggregation_on": False, "horizon": 4.0}))
+    code = dispatch(["simulate", "--dataset", str(dataset_dir), "--config", str(cfg),
+                     "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "max_steps=3" in capsys.readouterr().err
+
+
+def _rewrite_rows(path, edit):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows[:1] + edit(rows[1:]))
+
+
+@pytest.mark.parametrize("name", ["features.csv", "labels.csv", "masks.csv"])
+def test_bundle_missing_node_exits_one(dataset_dir, tmp_path, capsys, name):
+    _rewrite_rows(dataset_dir / name, lambda rows: rows[:5] + rows[6:])
+    assert dispatch(["simulate", "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert name in err and "node 5 is missing" in err
+
+
+def test_bundle_duplicated_node_exits_one(dataset_dir, tmp_path, capsys):
+    # node 4's row relabelled as node 3 used to overwrite node 3 silently
+    _rewrite_rows(dataset_dir / "labels.csv",
+                  lambda rows: rows[:4] + [["3"] + rows[4][1:]] + rows[5:])
+    assert dispatch(["train", "--dataset", str(dataset_dir), "--epochs", "1",
+                     "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "labels.csv" in err and "node 3 appears more than once" in err
+
+
+def test_bundle_node_out_of_range_exits_one(dataset_dir, tmp_path, capsys):
+    _rewrite_rows(dataset_dir / "masks.csv", lambda rows: rows[:-1] + [["100"] + rows[-1][1:]])
+    assert dispatch(["simulate", "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "masks.csv" in err and "node 100 is out of range" in err
+
+
+def test_trajectory_missing_node_exits_one(dataset_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert dispatch(["simulate", "--dataset", str(dataset_dir), "--method", "euler",
+                     "--step", "1", "--horizon", "2", "--out", str(run)]) == 0
+    # drop node 7 from the second record (rows 100..199)
+    _rewrite_rows(run / "trajectory.csv", lambda rows: rows[:107] + rows[108:])
+    code = dispatch(["energy", "--dataset", str(dataset_dir),
+                     "--trajectory", str(run / "trajectory.csv"), "--out", str(tmp_path / "e")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "trajectory.csv at t=1" in err and "node 7 is missing" in err

@@ -11,6 +11,7 @@ from grade import (
     kernel_scalar,
     row_normalize,
 )
+from grade.kernels import normalized_kernel_arc_values
 
 from _oracles import dense_kernel_matrix, kernel_value, random_connected_graph
 
@@ -171,6 +172,18 @@ def test_normalize_rows_flag_in_matrix():
     X = rng.normal(size=(5, 2))
     K = kernel_matrix(KernelSpec("gaussian", normalize_rows=True), X, g)
     np.testing.assert_allclose(K.row_sums(), np.ones(5), atol=1e-12)
+
+
+def test_normalized_matrix_is_the_softmax_the_dynamics_use():
+    # raw gaussian values exp(-800) underflow to 0; dividing by raw row sums
+    # would leave all-zero rows, the per-neighborhood softmax does not
+    g = from_edge_list(3, [(0, 1), (1, 2)])
+    X = np.array([[0.0], [40.0], [80.0]])
+    spec = KernelSpec("gaussian", bandwidth=1.0, normalize_rows=True)
+    K = kernel_matrix(spec, X, g)
+    np.testing.assert_array_equal(K.row_sums(), np.ones(3))
+    np.testing.assert_array_equal(K.values, [1.0, 0.5, 0.5, 1.0])
+    np.testing.assert_array_equal(K.values, normalized_kernel_arc_values(spec, X, g).data.reshape(-1))
 
 
 def test_spec_validation():

@@ -24,6 +24,7 @@ from grade import (
     train,
 )
 from grade.training import accuracy, init_params, max_relative_error
+from grade import autodiff as ad
 
 from _oracles import linear_diffusion_forward, random_connected_graph
 
@@ -384,3 +385,24 @@ def test_model_params_json_roundtrip():
     q = ModelParams.from_json(p.to_json())
     for (_, a), (_, b) in zip(p.fields(), q.fields()):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_forward_trajectory_is_integrate_bit_for_bit(method):
+    # the unroll and integrate walk the same fixed-step grid, recording
+    # every record_every-th state plus the last (here steps 2, 4 and 5)
+    ds = toy_dataset(n=6, seed=4)
+    cfg = TrainConfig(
+        dynamics=DynamicsConfig(kernel=KernelSpec("gaussian", normalize_rows=True)),
+        solver=SolverConfig(method, step=0.5, horizon=2.3, record_every=2),
+        hidden=3,
+    )
+    p = init_params(ds, cfg)
+    _, traj = forward(p, ds, cfg)
+    X0 = ad.add(ad.matmul(ad.constant(ds.features), ad.constant(p.enc_weight)),
+                ad.constant(p.enc_bias)).data
+    want = integrate(lambda X, t: rhs(cfg.dynamics, ds.graph, X, t), X0, cfg.solver)
+    np.testing.assert_array_equal(traj.times, want.times)
+    np.testing.assert_array_equal(traj.times, [0.0, 1.0, 2.0, 2.3])
+    np.testing.assert_array_equal(traj.states, want.states)
+    assert traj.step_count == want.step_count == 5
