@@ -74,35 +74,37 @@ def feature_spread(X: np.ndarray) -> float:
     return float(np.max(X.max(axis=0) - X.min(axis=0)))
 
 
+def _sq_distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared distances from the rows of ``X`` to ``x``, summed as the dense pairwise form."""
+    return np.sum((X - x) ** 2, axis=1)
+
+
+def _finite(X: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("feature vectors must be finite")
+    return X
+
+
 def cluster_count(X: np.ndarray, eps: float) -> int:
     """Connected components of the eps-proximity graph on feature vectors.
 
-    Nodes are linked iff their Euclidean distance is <= eps; components are
-    found by union-find with path compression.
+    Nodes are linked iff their Euclidean distance is <= eps. The count is n
+    minus the minimum-spanning-tree links no longer than eps (Gower & Ross
+    1969); Prim's algorithm grows the tree one distance row at a time.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    parent = np.arange(n)
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    sq = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)
-    close = sq <= eps * eps
-    for i in range(n):
-        for j in range(i + 1, n):
-            if close[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    return len({find(i) for i in range(n)})
+    Y = _finite(X).copy()  # rows [0, m) are outside the tree; row m joined it last
+    link = np.full(len(Y), np.inf)  # squared distance from each outside row to the tree
+    links = 0
+    for m in range(len(Y) - 1, 0, -1):
+        np.minimum(link[:m], _sq_distances(Y[:m], Y[m]), out=link[:m])
+        k = int(np.argmin(link[:m]))
+        links += bool(link[k] <= eps * eps)
+        Y[[k, m - 1]] = Y[[m - 1, k]]
+        link[[k, m - 1]] = link[[m - 1, k]]
+    return len(Y) - links
 
 
 def metastability_profile(traj: Trajectory, eps: float) -> ClusterProfile:
@@ -139,9 +141,9 @@ def energy_series(traj: Trajectory, g: Graph) -> EnergySeries:
 
 def default_cluster_eps(X0: np.ndarray, fraction: float = 0.05) -> float:
     """Clustering scale: ``fraction`` of the initial Euclidean feature diameter."""
-    X0 = np.asarray(X0, dtype=np.float64)
-    sq = np.sum((X0[:, None, :] - X0[None, :, :]) ** 2, axis=2)
-    diameter = float(np.sqrt(sq.max()))
+    X0 = _finite(X0)
+    sq = max((_sq_distances(X0[i:], X0[i]).max() for i in range(len(X0))), default=0.0)
+    diameter = float(np.sqrt(sq))
     if diameter == 0.0:
         return fraction  # degenerate constant features; any positive eps works
     return fraction * diameter

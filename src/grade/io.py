@@ -157,7 +157,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Read the long format; every record must list the first record's nodes exactly once."""
+    """Read the long format; every record lists the first record's nodes once, all finite."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     by_time: dict[float, list[list[str]]] = {}
@@ -171,6 +171,10 @@ def read_trajectory_csv(path) -> Trajectory:
         [[float(x) for x in feats] for feats in _by_node(by_time[t], n, f"{path} at t={t:.17g}")]
         for t in order
     ])
+    bad = np.argwhere(~np.isfinite(states))
+    if bad.size:
+        rec, node, _ = bad[0]
+        raise ValueError(f"{path} at t={order[rec]:.17g}: node {node} has a non-finite feature")
     return Trajectory(np.asarray(order), states, step_count=max(len(order) - 1, 0))
 
 

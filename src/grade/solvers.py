@@ -39,7 +39,6 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_E = (
     71 / 57600,
     0.0,
@@ -210,42 +209,35 @@ def _integrate_fixed(f, X0, cfg: SolverConfig):
 
 def _integrate_dopri5(f, X0, cfg: SolverConfig):
     t, X = 0.0, X0.copy()
-    f0 = f(X, t)
-    h = _initial_step(f, X, f0, cfg)
+    k = [f(X, t)] + [None] * 6
+    h = _initial_step(f, X, k[0], cfg)
     times, states = [0.0], [X0.copy()]
     accepted = 0
     attempts = 0
     err_prev = 1.0
     max_ratio = 0.0
-    k = [None] * 7
     while t < cfg.horizon:
         h = min(h, cfg.horizon - t)
         attempts += 1
         if attempts > cfg.max_steps:
             raise NumericalError(f"max_steps={cfg.max_steps} exceeded at t={t:.6g}")
 
-        k[0] = f(X, t)
         for i in range(1, 7):
             acc = _DP_A[i][0] * k[0]
             for j in range(1, i):
                 if _DP_A[i][j] != 0.0:
                     acc = acc + _DP_A[i][j] * k[j]
-            k[i] = f(X + h * acc, t + _DP_C[i] * h)
-
-        X_new = X + h * (
-            _DP_B[0] * k[0] + _DP_B[2] * k[2] + _DP_B[3] * k[3]
-            + _DP_B[4] * k[4] + _DP_B[5] * k[5]
-        )
-        err = h * (
-            _DP_E[0] * k[0] + _DP_E[2] * k[2] + _DP_E[3] * k[3]
-            + _DP_E[4] * k[4] + _DP_E[5] * k[5] + _DP_E[6] * k[6]
-        )
+            X_new = X + h * acc
+            k[i] = f(X_new, t + _DP_C[i] * h)
+        # _DP_A[6] is the fifth-order weight row, so the last stage point is
+        # the step's solution and k[6] the derivative there: first same as last
+        err = h * sum(e * kj for e, kj in zip(_DP_E, k) if e != 0.0)
         _check_finite(X_new, t + h)
         ratio = _error_ratio(err, X, X_new, cfg)
 
         if ratio <= 1.0:
             t = cfg.horizon if cfg.horizon - (t + h) <= 1e-14 * cfg.horizon else t + h
-            X = X_new
+            X, k[0] = X_new, k[6]
             accepted += 1
             max_ratio = max(max_ratio, ratio)
             if accepted % cfg.record_every == 0 and t < cfg.horizon:

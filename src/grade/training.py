@@ -120,7 +120,7 @@ def init_params(ds: Dataset, cfg: TrainConfig) -> ModelParams:
     )
 
 
-def _unroll(p: ModelParams, ds: Dataset, cfg: TrainConfig, leaves: dict[str, ad.Tensor]):
+def _unroll(ds: Dataset, cfg: TrainConfig, leaves: dict[str, ad.Tensor]):
     """Encoder -> K solver steps -> decoder on the tape.
 
     Returns (logits tensor, recorded step states, step times). ``leaves``
@@ -167,7 +167,7 @@ def _record_trajectory(step_states, step_times, solver: SolverConfig) -> Traject
 def forward(p: ModelParams, ds: Dataset, cfg: TrainConfig):
     """Run the classifier; returns (logits, trajectory of the dynamics)."""
     leaves = _param_leaves(p, requires_grad=False)
-    logits, step_states, step_times = _unroll(p, ds, cfg, leaves)
+    logits, step_states, step_times = _unroll(ds, cfg, leaves)
     return logits.data, _record_trajectory(step_states, step_times, cfg.solver)
 
 
@@ -196,7 +196,7 @@ def loss_and_grad(p: ModelParams, ds: Dataset, cfg: TrainConfig):
     NumericalError naming the unroll step if a non-finite gradient appears.
     """
     leaves = _param_leaves(p, requires_grad=True)
-    logits, step_states, _ = _unroll(p, ds, cfg, leaves)
+    logits, step_states, _ = _unroll(ds, cfg, leaves)
     value = _loss_tensor(logits, ds.labels, ds.train_mask)
     with np.errstate(over="ignore", invalid="ignore"):
         value.backward()

@@ -7,6 +7,7 @@ code with the vectorized paths it checks.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -174,3 +175,34 @@ def random_connected_graph(rng, n: int, extra_edges: int | None = None):
         if u != v:
             edges.add((min(int(u), int(v)), max(int(u), int(v))))
     return from_edge_list(n, sorted(edges))
+
+
+def pair_sq_distance(X: np.ndarray, i: int, j: int) -> float:
+    return float(np.sum((X[i] - X[j]) ** 2))
+
+
+def eps_cluster_count(X: np.ndarray, eps: float) -> int:
+    """Components of the graph linking rows within Euclidean distance eps, by BFS."""
+    n = X.shape[0]
+    seen = [False] * n
+    count = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in range(n):
+                if not seen[v] and pair_sq_distance(X, u, v) <= eps * eps:
+                    seen[v] = True
+                    queue.append(v)
+    return count
+
+
+def feature_diameter(X: np.ndarray) -> float:
+    """Largest Euclidean distance between two rows, over all pairs."""
+    n = X.shape[0]
+    return math.sqrt(max((pair_sq_distance(X, i, j) for i in range(n) for j in range(n)),
+                         default=0.0))

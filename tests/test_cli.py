@@ -248,3 +248,17 @@ def test_trajectory_missing_node_exits_one(dataset_dir, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "trajectory.csv at t=1" in err and "node 7 is missing" in err
+
+
+def test_trajectory_non_finite_feature_exits_one(dataset_dir, tmp_path, capsys):
+    # a nan feature used to pass through to nan energy and a "mitigated" verdict
+    run = tmp_path / "run"
+    assert dispatch(["simulate", "--dataset", str(dataset_dir), "--method", "euler",
+                     "--step", "1", "--horizon", "2", "--out", str(run)]) == 0
+    _rewrite_rows(run / "trajectory.csv",
+                  lambda rows: rows[:142] + [rows[142][:2] + ["nan"] + rows[142][3:]] + rows[143:])
+    code = dispatch(["energy", "--dataset", str(dataset_dir),
+                     "--trajectory", str(run / "trajectory.csv"), "--out", str(tmp_path / "e")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "trajectory.csv at t=1" in err and "node 42 has a non-finite feature" in err

@@ -1,4 +1,6 @@
 """Dirichlet energy, spread, cluster counting, dwell intervals, verdicts."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -78,6 +80,8 @@ def test_cluster_count_examples():
     assert cluster_count(X, eps=0.1) == 2
     assert cluster_count(X, eps=10.0) == 1
     assert cluster_count(X, eps=1e-6) == 4
+    assert cluster_count(np.zeros((0, 2)), eps=1.0) == 0
+    assert cluster_count(np.zeros((1, 2)), eps=1.0) == 1
 
 
 def test_cluster_count_monotone_in_eps():
@@ -90,6 +94,29 @@ def test_cluster_count_monotone_in_eps():
 def test_cluster_count_rejects_bad_eps():
     with pytest.raises(ValueError):
         cluster_count(np.zeros((2, 1)), eps=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cluster_diagnostics_reject_non_finite_features(bad):
+    X = np.array([[0.0, 0.0], [bad, 1.0], [3.0, 4.0]])
+    with pytest.raises(ValueError, match="finite"):
+        cluster_count(X, eps=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        default_cluster_eps(X)
+
+
+def test_cluster_diagnostics_memory_is_linear_in_n():
+    # a collapsed state links all n^2/2 pairs; a dense n x n bool array
+    # alone would take 9 MB here
+    X = 1e-9 * np.random.default_rng(3).normal(size=(3000, 2))
+    tracemalloc.start()
+    try:
+        assert cluster_count(X, eps=1.0) == 1
+        default_cluster_eps(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_profile_stationary_single_interval():

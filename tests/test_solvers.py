@@ -113,6 +113,21 @@ def test_integrate_dopri5_exponential():
     assert traj.max_error_ratio is not None and traj.max_error_ratio <= 1.0
 
 
+def test_dopri5_reuses_last_stage_as_next_first():
+    # one call for the initial derivative, one for the step-size heuristic,
+    # then six per accepted step: stage 7 at the new state is the next stage 1
+    calls = []
+
+    def f(X, t):
+        calls.append(t)
+        return -X
+
+    cfg = SolverConfig("dopri5", horizon=1.0, rel_tol=1e-8, abs_tol=1e-10)
+    traj = integrate(f, np.array([[1.0]]), cfg)
+    assert traj.step_count > 1
+    assert len(calls) == 2 + 6 * traj.step_count
+
+
 def test_integrate_p2_closed_form():
     X0 = np.array([[0.0], [1.0]])
     cfg = SolverConfig("dopri5", horizon=2.0, rel_tol=1e-9, abs_tol=1e-11)

@@ -218,12 +218,12 @@ def test_grad_scales_linearly_with_loss():
     p = init_params(ds, cfg)
 
     leaves = _param_leaves(p, requires_grad=True)
-    logits, _, _ = _unroll(p, ds, cfg, leaves)
+    logits, _, _ = _unroll(ds, cfg, leaves)
     _loss_tensor(logits, ds.labels, ds.train_mask).backward()
     single = {k: v.grad.copy() for k, v in leaves.items()}
 
     leaves2 = _param_leaves(p, requires_grad=True)
-    logits2, _, _ = _unroll(p, ds, cfg, leaves2)
+    logits2, _, _ = _unroll(ds, cfg, leaves2)
     ad.mul(_loss_tensor(logits2, ds.labels, ds.train_mask), 2.0).backward()
     for k, v in leaves2.items():
         np.testing.assert_allclose(v.grad, 2.0 * single[k], rtol=1e-12)
