@@ -1,12 +1,15 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Implements exactly the operations the dynamics and the classifier need:
-dense affine maps, elementwise nonlinearities, row gather/scatter for
-edge message passing, per-neighborhood softmax, and clamped Euclidean
-norms for interaction kernels. Tensors form a DAG; ``backward`` walks it
-in reverse topological order and accumulates gradients into every node,
-so callers can read ``.grad`` off leaf parameters (and off intermediate
-states when chasing a non-finite gradient).
+dense affine maps, elementwise nonlinearities, row gather/scatter and the
+CSR neighbourhood sum :func:`arc_spmm` for edge message passing,
+per-neighborhood softmax, and clamped Euclidean norms for interaction
+kernels. Tensors form a DAG over the nodes that require a gradient; a node
+computed only from constants keeps no parents, so plain evaluation records
+nothing. ``backward`` walks the DAG in reverse topological order and
+accumulates gradients only into nodes that require them, so callers can
+read ``.grad`` off leaf parameters (and off intermediate states when
+chasing a non-finite gradient); constants keep ``.grad`` None.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ __all__ = [
     "mean",
     "reshape",
     "gather_rows",
+    "arc_spmm",
     "segment_sum",
     "segment_softmax",
     "clamped_norm",
@@ -38,7 +42,11 @@ __all__ = [
 
 
 class Tensor:
-    """Array node in the computation graph."""
+    """Array node in the computation graph.
+
+    A node that requires no gradient drops its parents and its backward
+    closure, so the tape holds only what gradients flow through.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -46,8 +54,8 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents
-        self._backward = backward
+        self._parents = parents if self.requires_grad else ()
+        self._backward = backward if self.requires_grad else None
 
     @property
     def shape(self):
@@ -60,7 +68,8 @@ class Tensor:
         """Accumulate gradients of this (scalar or array) node into the DAG.
 
         Seeds with ones, so for a scalar loss the leaf ``.grad`` fields hold
-        the exact gradient of the recorded computation.
+        the exact gradient of the recorded computation. Only nodes that
+        require a gradient get a ``.grad``; constants keep None.
         """
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -75,7 +84,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
 
         for node in order:
@@ -130,145 +139,144 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Sum ``rows`` into ``n`` rows keyed by ``idx``, adding in input order.
+
+    One ``np.bincount`` over flattened (row, column) keys: each output entry
+    starts at zero and adds its inputs in the order they appear.
+    """
+    width = int(np.prod(rows.shape[1:], dtype=np.intp))
+    keys = (idx[:, None] * width + np.arange(width)).reshape(-1)
+    sums = np.bincount(keys, weights=rows.reshape(-1), minlength=n * width)
+    return sums.reshape((n,) + rows.shape[1:])
+
+
 def add(a, b) -> Tensor:
     a, b = constant(a), constant(b)
-    out = Tensor(a.data + b.data, parents=(a, b))
 
     def backward(g):
-        a.grad += _unbroadcast(g, a.data.shape)
-        b.grad += _unbroadcast(g, b.data.shape)
+        if a.requires_grad:
+            a.grad += _unbroadcast(g, a.data.shape)
+        if b.requires_grad:
+            b.grad += _unbroadcast(g, b.data.shape)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data + b.data, parents=(a, b), backward=backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = constant(a), constant(b)
-    out = Tensor(a.data - b.data, parents=(a, b))
 
     def backward(g):
-        a.grad += _unbroadcast(g, a.data.shape)
-        b.grad -= _unbroadcast(g, b.data.shape)
+        if a.requires_grad:
+            a.grad += _unbroadcast(g, a.data.shape)
+        if b.requires_grad:
+            b.grad -= _unbroadcast(g, b.data.shape)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data - b.data, parents=(a, b), backward=backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = constant(a), constant(b)
-    out = Tensor(a.data * b.data, parents=(a, b))
 
     def backward(g):
-        a.grad += _unbroadcast(g * b.data, a.data.shape)
-        b.grad += _unbroadcast(g * a.data, b.data.shape)
+        if a.requires_grad:
+            a.grad += _unbroadcast(g * b.data, a.data.shape)
+        if b.requires_grad:
+            b.grad += _unbroadcast(g * a.data, b.data.shape)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data * b.data, parents=(a, b), backward=backward)
 
 
 def matmul(a, b, transpose_b: bool = False) -> Tensor:
     a, b = constant(a), constant(b)
     out_data = a.data @ (b.data.T if transpose_b else b.data)
-    out = Tensor(out_data, parents=(a, b))
 
     def backward(g):
         if transpose_b:
-            a.grad += g @ b.data
-            b.grad += g.T @ a.data
+            if a.requires_grad:
+                a.grad += g @ b.data
+            if b.requires_grad:
+                b.grad += g.T @ a.data
         else:
-            a.grad += g @ b.data.T
-            b.grad += a.data.T @ g
+            if a.requires_grad:
+                a.grad += g @ b.data.T
+            if b.requires_grad:
+                b.grad += a.data.T @ g
 
-    out._backward = backward
-    return out
+    return Tensor(out_data, parents=(a, b), backward=backward)
 
 
 def power(a, exponent: float) -> Tensor:
     """Elementwise ``a ** exponent`` for a constant exponent."""
     a = constant(a)
-    out = Tensor(a.data ** exponent, parents=(a,))
 
     def backward(g):
         a.grad += g * exponent * a.data ** (exponent - 1.0)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data ** exponent, parents=(a,), backward=backward)
 
 
 def exp(a) -> Tensor:
     a = constant(a)
-    out = Tensor(np.exp(a.data), parents=(a,))
+    y = np.exp(a.data)
 
     def backward(g):
-        a.grad += g * out.data
+        a.grad += g * y
 
-    out._backward = backward
-    return out
+    return Tensor(y, parents=(a,), backward=backward)
 
 
 def log(a) -> Tensor:
     a = constant(a)
-    out = Tensor(np.log(a.data), parents=(a,))
 
     def backward(g):
         a.grad += g / a.data
 
-    out._backward = backward
-    return out
+    return Tensor(np.log(a.data), parents=(a,), backward=backward)
 
 
 def tanh(a) -> Tensor:
     a = constant(a)
-    out = Tensor(np.tanh(a.data), parents=(a,))
+    y = np.tanh(a.data)
 
     def backward(g):
-        a.grad += g * (1.0 - out.data ** 2)
+        a.grad += g * (1.0 - y ** 2)
 
-    out._backward = backward
-    return out
+    return Tensor(y, parents=(a,), backward=backward)
 
 
 def softplus(a) -> Tensor:
     a = constant(a)
-    out = Tensor(np.logaddexp(0.0, a.data), parents=(a,))
 
     def backward(g):
         a.grad += g / (1.0 + np.exp(-a.data))
 
-    out._backward = backward
-    return out
+    return Tensor(np.logaddexp(0.0, a.data), parents=(a,), backward=backward)
 
 
 def relu(a) -> Tensor:
     a = constant(a)
-    out = Tensor(np.maximum(a.data, 0.0), parents=(a,))
 
     def backward(g):
         a.grad += g * (a.data > 0.0)
 
-    out._backward = backward
-    return out
+    return Tensor(np.maximum(a.data, 0.0), parents=(a,), backward=backward)
 
 
 def reduce_sum(a, axis: int | None = None) -> Tensor:
     """Sum to a scalar (axis=None) or along axis 1 with keepdims."""
     a = constant(a)
     if axis is None:
-        out = Tensor(a.data.sum(), parents=(a,))
-
-        def backward(g):
-            a.grad += np.broadcast_to(g, a.data.shape)
-
+        out_data = a.data.sum()
     elif axis == 1:
-        out = Tensor(a.data.sum(axis=1, keepdims=True), parents=(a,))
-
-        def backward(g):
-            a.grad += np.broadcast_to(g, a.data.shape)
-
+        out_data = a.data.sum(axis=1, keepdims=True)
     else:
         raise ValueError(f"unsupported axis {axis}")
-    out._backward = backward
-    return out
+
+    def backward(g):
+        a.grad += np.broadcast_to(g, a.data.shape)
+
+    return Tensor(out_data, parents=(a,), backward=backward)
 
 
 def mean(a) -> Tensor:
@@ -278,26 +286,22 @@ def mean(a) -> Tensor:
 
 def reshape(a, shape: tuple) -> Tensor:
     a = constant(a)
-    out = Tensor(a.data.reshape(shape), parents=(a,))
 
     def backward(g):
         a.grad += g.reshape(a.data.shape)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data.reshape(shape), parents=(a,), backward=backward)
 
 
 def gather_rows(a, idx) -> Tensor:
     """Select rows ``a[idx]``; backward scatter-adds into the source rows."""
     a = constant(a)
     idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(a.data[idx], parents=(a,))
 
     def backward(g):
-        np.add.at(a.grad, idx, g)
+        a.grad += _scatter_rows(idx, g, a.data.shape[0])
 
-    out._backward = backward
-    return out
+    return Tensor(a.data[idx], parents=(a,), backward=backward)
 
 
 def segment_sum(a, idx, n: int) -> Tensor:
@@ -308,15 +312,34 @@ def segment_sum(a, idx, n: int) -> Tensor:
     """
     a = constant(a)
     idx = np.asarray(idx, dtype=np.intp)
-    out_data = np.zeros((n,) + a.data.shape[1:], dtype=np.float64)
-    np.add.at(out_data, idx, a.data)
-    out = Tensor(out_data, parents=(a,))
 
     def backward(g):
         a.grad += g[idx]
 
-    out._backward = backward
-    return out
+    return Tensor(_scatter_rows(idx, a.data, n), parents=(a,), backward=backward)
+
+
+def arc_spmm(vals, X, g) -> Tensor:
+    """Neighbourhood sum over the arcs of graph ``g``: row u is
+    sum over arcs (u, v) of vals_uv * x_v, added in arc order.
+
+    ``vals`` holds one value per arc (flat or as a column). The forward is
+    one product with the graph's cached CSR matrix; the gradient of ``X`` is
+    the same product with the values of the reverse arcs (the transpose,
+    since the arc table is symmetric), and the gradient of ``vals`` is the
+    row-wise dot of the upstream gradient at u with x_v.
+    """
+    vals, X = constant(vals), constant(X)
+    w = vals.data.reshape(-1)
+
+    def backward(grad):
+        if X.requires_grad:
+            X.grad += g.arc_product(w[g.reverse_arc], grad)
+        if vals.requires_grad:
+            dots = np.einsum("ij,ij->i", grad[g.arc_src], X.data[g.arc_dst])
+            vals.grad += dots.reshape(vals.data.shape)
+
+    return Tensor(g.arc_product(w, X.data), parents=(vals, X), backward=backward)
 
 
 def segment_softmax(scores, offsets) -> Tensor:
@@ -338,14 +361,12 @@ def segment_softmax(scores, offsets) -> Tensor:
     e = np.exp(shifted)
     sums = np.add.reduceat(e, starts)
     p = e / sums[seg]
-    out = Tensor(p, parents=(scores,))
 
     def backward(g):
         dot = np.add.reduceat(p * g, starts)
         scores.grad += p * (g - dot[seg])
 
-    out._backward = backward
-    return out
+    return Tensor(p, parents=(scores,), backward=backward)
 
 
 def clamped_norm(d, floor: float) -> Tensor:
@@ -356,16 +377,13 @@ def clamped_norm(d, floor: float) -> Tensor:
     """
     d = constant(d)
     nrm = np.sqrt((d.data ** 2).sum(axis=1, keepdims=True))
-    r = np.maximum(nrm, floor)
-    out = Tensor(r, parents=(d,))
 
     def backward(g):
         active = nrm > floor
         safe = np.where(active, nrm, 1.0)
         d.grad += np.where(active, g / safe, 0.0) * d.data
 
-    out._backward = backward
-    return out
+    return Tensor(np.maximum(nrm, floor), parents=(d,), backward=backward)
 
 
 def take_per_row(a, cols) -> Tensor:
@@ -373,10 +391,9 @@ def take_per_row(a, cols) -> Tensor:
     a = constant(a)
     cols = np.asarray(cols, dtype=np.intp)
     rows = np.arange(a.data.shape[0])
-    out = Tensor(a.data[rows, cols][:, None], parents=(a,))
 
     def backward(g):
-        np.add.at(a.grad, (rows, cols), g[:, 0])
+        # (row, col) pairs are unique, so a plain fancy-index add is exact
+        a.grad[rows, cols] += g[:, 0]
 
-    out._backward = backward
-    return out
+    return Tensor(a.data[rows, cols][:, None], parents=(a,), backward=backward)

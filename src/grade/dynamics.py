@@ -137,24 +137,21 @@ def aggregation_term(cfg: DynamicsConfig, g: Graph, K: KernelMatrix, X: np.ndarr
     graph divergence of x ⊙ grad(kappa * x).
     """
     X = np.asarray(X, dtype=np.float64)
-    if K.graph is not g:
-        if (
-            K.graph.n != g.n
-            or K.graph.arc_src.shape != g.arc_src.shape
-            or np.any(K.graph.arc_src != g.arc_src)
-            or np.any(K.graph.arc_dst != g.arc_dst)
-        ):
-            raise ValueError("kernel matrix support does not match the graph")
+    same_support = K.graph is g or (
+        np.array_equal(K.graph.arc_offsets, g.arc_offsets)
+        and np.array_equal(K.graph.arc_dst, g.arc_dst)
+    )
+    if not same_support:
+        raise ValueError("kernel matrix support does not match the graph")
     if X.shape[0] != g.n:
         raise ValueError("state row count must equal node count")
-    return _aggregation_from_kernel(g, ad.constant(K.values.reshape(-1, 1)), ad.constant(X)).data
+    return _aggregation_from_kernel(g, ad.constant(K.values), ad.constant(X)).data
 
 
 def _aggregation_from_kernel(g: Graph, kvals: ad.Tensor, X: ad.Tensor) -> ad.Tensor:
     """x_u ⊙ [ (W · KX)_u - wdeg_u · (KX)_u ] with KX_v = sum_k kappa_vk x_k."""
-    kx = ad.segment_sum(ad.mul(kvals, ad.gather_rows(X, g.arc_dst)), g.arc_src, g.n)
-    w = g.arc_weight.reshape(-1, 1)
-    inflow = ad.segment_sum(ad.mul(ad.constant(w), ad.gather_rows(kx, g.arc_dst)), g.arc_src, g.n)
+    kx = ad.arc_spmm(kvals, X, g)
+    inflow = ad.arc_spmm(g.arc_weight, kx, g)
     out = ad.sub(inflow, ad.mul(ad.constant(g.weighted_degree.reshape(-1, 1)), kx))
     return ad.mul(X, out)
 
@@ -178,9 +175,8 @@ def rhs_ops(
         if cfg.adjacency_mode == "attention":
             alpha = attention_arc_values(X, *attention_projection(cfg.attention, theta), g)
         else:
-            alpha = ad.constant(g.static_arc_coeff.reshape(-1, 1))
-        agg_in = ad.segment_sum(ad.mul(alpha, ad.gather_rows(sX, g.arc_dst)), g.arc_src, g.n)
-        parts.append(ad.sub(agg_in, sX))
+            alpha = g.static_arc_coeff
+        parts.append(ad.sub(ad.arc_spmm(alpha, sX, g), sX))
 
     if cfg.aggregation_on:
         kvals = kernel_weights(cfg.kernel, X, g, cfg.attention, theta)

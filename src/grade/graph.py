@@ -52,10 +52,33 @@ class Graph:
 
     @cached_property
     def weighted_degree(self) -> np.ndarray:
-        wd = np.zeros(self.n)
-        np.add.at(wd, self.arc_src, self.arc_weight)
+        wd = np.bincount(self.arc_src, weights=self.arc_weight, minlength=self.n)
         wd.setflags(write=False)
         return wd
+
+    @cached_property
+    def reverse_arc(self) -> np.ndarray:
+        """Index of arc (v, u) for every arc (u, v): the arcs sorted by (dst, src)."""
+        rev = np.lexsort((self.arc_src, self.arc_dst))
+        rev.setflags(write=False)
+        return rev
+
+    @cached_property
+    def _arc_csr(self) -> sp.csr_array:
+        return sp.csr_array(
+            (np.zeros(self.arc_dst.size), self.arc_dst, self.arc_offsets), shape=(self.n, self.n)
+        )
+
+    def arc_product(self, vals: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Row u is the sum over arcs (u, v) of vals[arc] * X[v], added in arc order.
+
+        One product with the CSR matrix of the arc table (row pointers
+        ``arc_offsets``, column indices ``arc_dst``), built once per graph;
+        each call swaps in ``vals``, so calls on one graph must not overlap.
+        """
+        csr = self._arc_csr
+        csr.data = np.ascontiguousarray(vals, dtype=np.float64)
+        return csr @ X
 
     @cached_property
     def static_arc_coeff(self) -> np.ndarray:

@@ -104,9 +104,7 @@ class KernelMatrix:
         return dense
 
     def row_sums(self) -> np.ndarray:
-        sums = np.zeros(self.graph.n)
-        np.add.at(sums, self.graph.arc_src, self.values)
-        return sums
+        return np.bincount(self.graph.arc_src, weights=self.values, minlength=self.graph.n)
 
 
 def kernel_scalar(spec: KernelSpec, z) -> float:

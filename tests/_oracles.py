@@ -163,10 +163,7 @@ def logistic_regression_accuracy(features, labels, train_mask, test_mask,
     return float(np.mean(pred == labels[te]))
 
 
-def random_connected_graph(rng, n: int, extra_edges: int | None = None):
-    """Random tree plus extra edges; every node has degree >= 1."""
-    from grade import from_edge_list
-
+def _tree_plus_edges(rng, n: int, extra_edges: int | None = None) -> set:
     edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
     if extra_edges is None:
         extra_edges = int(rng.integers(0, n + 1))
@@ -174,7 +171,28 @@ def random_connected_graph(rng, n: int, extra_edges: int | None = None):
         u, v = rng.integers(0, n, size=2)
         if u != v:
             edges.add((min(int(u), int(v)), max(int(u), int(v))))
-    return from_edge_list(n, sorted(edges))
+    return edges
+
+
+def random_connected_graph(rng, n: int, extra_edges: int | None = None):
+    """Random tree plus extra edges; every node has degree >= 1."""
+    from grade import from_edge_list
+
+    return from_edge_list(n, sorted(_tree_plus_edges(rng, n, extra_edges)))
+
+
+def random_graph(rng, sizes, weighted: bool):
+    """Disjoint random connected pieces with consecutive node ids, one per
+    entry of ``sizes`` (each >= 2, so no node is isolated); edge weights are
+    uniform in [0.25, 2] when ``weighted``, else 1."""
+    from grade import from_edge_list
+
+    edges, start = [], 0
+    for size in sizes:
+        edges += [(start + u, start + v) for u, v in sorted(_tree_plus_edges(rng, size))]
+        start += size
+    weights = rng.uniform(0.25, 2.0, size=len(edges)) if weighted else None
+    return from_edge_list(start, edges, weights)
 
 
 def pair_sq_distance(X: np.ndarray, i: int, j: int) -> float:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from grade import autodiff as ad
+from grade import from_edge_list
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -190,3 +191,48 @@ def test_operator_sugar_matches_functions(rng):
     np.testing.assert_array_equal((a - b).data, ad.sub(a, b).data)
     np.testing.assert_array_equal((2.0 * a).data, ad.mul(a, 2.0).data)
     np.testing.assert_array_equal((-a).data, ad.mul(a, -1.0).data)
+
+
+def test_backward_leaves_constants_without_grad(rng):
+    x, c = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    idx = np.array([0, 2, 2, 3, 1])
+
+    def loss(a, b):
+        return ad.reduce_sum(ad.mul(ad.gather_rows(ad.tanh(ad.mul(a, b)), idx), WEIGHT((5, 3))))
+
+    leaf, const = ad.parameter(x.copy()), ad.constant(c.copy())
+    loss(leaf, const).backward()
+    assert const.grad is None
+
+    both = ad.parameter(x.copy()), ad.parameter(c.copy())
+    loss(*both).backward()
+    np.testing.assert_array_equal(leaf.grad, both[0].grad)
+
+
+def test_constant_computation_records_no_tape(rng):
+    a = ad.constant(rng.normal(size=(3, 2)))
+    out = ad.exp(ad.add(ad.mul(a, 2.0), a))
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+
+
+def test_arc_spmm_adds_like_gather_mul_segment_sum_bit_for_bit(rng):
+    g = from_edge_list(5, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4), (1, 4)],
+                       rng.uniform(0.5, 2.0, size=6))
+    vals = rng.normal(size=(g.arc_src.size, 1))
+    X = rng.normal(size=(5, 3))
+    triple = ad.segment_sum(ad.mul(vals, ad.gather_rows(X, g.arc_dst)), g.arc_src, g.n)
+    np.testing.assert_array_equal(ad.arc_spmm(vals, X, g).data, triple.data)
+    np.testing.assert_array_equal(ad.arc_spmm(vals[:, 0], X[:, :1], g).data, triple.data[:, :1])
+
+
+def test_gather_rows_backward_adds_in_index_order(rng):
+    x = rng.normal(size=(4, 3))
+    idx = np.array([3, 0, 3, 1, 3, 0])
+    g = rng.normal(size=(idx.size, 3)) * 10.0 ** rng.integers(-8, 8, size=(idx.size, 1))
+    leaf = ad.parameter(x)
+    ad.reduce_sum(ad.mul(ad.gather_rows(leaf, idx), g)).backward()
+    want = np.zeros_like(x)
+    for i, row in zip(idx, g):
+        want[i] += row
+    np.testing.assert_array_equal(leaf.grad, want)

@@ -151,6 +151,22 @@ def test_train_outputs(dataset_dir, tmp_path):
     assert manifest["config"]["epochs"] == 5
 
 
+def test_train_reports_the_test_acc_of_the_checkpoint(tmp_path, capsys):
+    from grade import TrainConfig, forward
+    from grade.training import accuracy
+
+    ds_dir, out = tmp_path / "noisy", tmp_path / "model"
+    assert dispatch(["generate", "--n", "60", "--p-intra", "0.5", "--p-inter", "0.2",
+                     "--noise-std", "0.8", "--seed", "5", "--out", str(ds_dir)]) == 0
+    assert dispatch(["train", "--dataset", str(ds_dir), "--epochs", "8", "--lr", "0.3",
+                     "--seed", "2", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    params, dyn, sol = gio.read_checkpoint(out / "checkpoint.json")
+    ds = gio.read_dataset(ds_dir)
+    logits, _ = forward(params, ds, TrainConfig(dynamics=dyn, solver=sol))
+    assert f"test acc {accuracy(logits, ds.labels, ds.test_mask):.3f} after 8 epochs" in printed
+
+
 def test_unknown_flag_exits_one(dataset_dir, tmp_path, capsys):
     assert dispatch(["simulate", "--dataset", str(dataset_dir),
                      "--frobnicate", "--out", str(tmp_path / "x")]) == 1

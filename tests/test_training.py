@@ -406,3 +406,58 @@ def test_forward_trajectory_is_integrate_bit_for_bit(method):
     np.testing.assert_array_equal(traj.times, [0.0, 1.0, 2.0, 2.3])
     np.testing.assert_array_equal(traj.states, want.states)
     assert traj.step_count == want.step_count == 5
+
+
+def _reference_train(ds, cfg):
+    """The training loop with a separate forward after every update."""
+    params = init_params(ds, cfg)
+    best, best_val, rows = params.copy(), -1.0, []
+    for epoch in range(cfg.epochs):
+        value, grads = loss_and_grad(params, ds, cfg)
+        updated = params.copy()
+        for name, _ in params.fields():
+            step = getattr(grads, name).copy()
+            if name in ("enc_weight", "dec_weight", "theta"):
+                step += cfg.weight_decay * getattr(params, name)
+            getattr(updated, name)[...] = getattr(params, name) - cfg.learning_rate * step
+        params = updated
+        logits, _ = forward(params, ds, cfg)
+        val_acc = accuracy(logits, ds.labels, ds.val_mask)
+        rows.append((epoch, value, val_acc, accuracy(logits, ds.labels, ds.test_mask)))
+        if val_acc > best_val:
+            best_val, best = val_acc, params.copy()
+    return best, rows
+
+
+_NOISY_TRAIN_CONFIGS = [
+    DynamicsConfig(kernel=KernelSpec("gaussian", normalize_rows=True)),
+    DynamicsConfig(adjacency_mode="attention", kernel=KernelSpec("attention"),
+                   attention=ProjectionParams(np.zeros((4, 4)))),
+]
+
+
+@pytest.mark.parametrize("dynamics", _NOISY_TRAIN_CONFIGS)
+def test_train_metrics_equal_a_forward_after_every_update(dynamics):
+    ds = csbm_generate(CsbmConfig(n=30, p_intra=0.5, p_inter=0.2, noise_std=1.2), seed=4)
+    cfg = TrainConfig(dynamics=dynamics, solver=SolverConfig("euler", step=0.5, horizon=1.0),
+                      learning_rate=0.3, epochs=12, seed=2, hidden=4)
+    best, metrics = train(ds, cfg)
+    want_best, want_rows = _reference_train(ds, cfg)
+    assert [(m.epoch, m.loss, m.val_acc, m.test_acc) for m in metrics] == want_rows
+    assert len({m.val_acc for m in metrics}) > 1  # the accuracies do move
+    for (_, got), (_, want) in zip(best.fields(), want_best.fields()):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dynamics", _NOISY_TRAIN_CONFIGS)
+def test_taped_logits_equal_forward_bit_for_bit(dynamics):
+    ds = csbm_generate(CsbmConfig(n=30, p_intra=0.5, p_inter=0.2, noise_std=1.2), seed=4)
+    cfg = TrainConfig(dynamics=dynamics, solver=SolverConfig("rk4", step=0.5, horizon=1.0),
+                      seed=2, hidden=4)
+    p = init_params(ds, cfg)
+    value, grads, logits = loss_and_grad(p, ds, cfg, with_logits=True)
+    np.testing.assert_array_equal(logits, forward(p, ds, cfg)[0])
+    plain_value, plain_grads = loss_and_grad(p, ds, cfg)
+    assert value == plain_value
+    for (_, got), (_, want) in zip(grads.fields(), plain_grads.fields()):
+        np.testing.assert_array_equal(got, want)
