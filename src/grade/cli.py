@@ -1,20 +1,19 @@
 """Command-line surface: generate, simulate, energy, grad-check, train.
 
-Every command writes a manifest next to its outputs with the fully
-resolved configuration, seed, paths, version, and wall-clock duration, so
-fixed-step runs can be replayed bit for bit. Config precedence is
-flags > config file > defaults. Exit codes: 0 success, 1 usage error,
-2 numerical failure.
+Every command writes a manifest next to its outputs with the
+configuration it built, seed, paths, version, and wall-clock duration, so
+fixed-step runs can be replayed bit for bit. Config precedence, at every
+depth, is flags > config file > the config dataclasses' defaults. Exit
+codes: 0 success, 1 usage error, 2 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +21,15 @@ import numpy as np
 from . import __version__
 from . import diagnostics as diag
 from . import io as gio
-from .dynamics import DynamicsConfig, rhs
+from .codec import key_path
+from .dynamics import ACTIVATION_KINDS, ADJACENCY_MODES, DynamicsConfig, rhs
 from .graph import CsbmConfig, csbm_generate
-from .kernels import KernelSpec
-from .solvers import NumericalError, SolverConfig, integrate
+from .solvers import FIXED_STEP_METHODS, METHODS, NumericalError, SolverConfig, integrate
 from .training import TrainConfig, gradient_check, train
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
+_ON_OFF = {"on": True, "off": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,36 +44,76 @@ def _threads() -> int | None:
     raw = os.environ.get("GRADE_THREADS")
     if raw is None:
         return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"GRADE_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError("GRADE_THREADS must be >= 1")
-    return value
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValueError(f"GRADE_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def _load_config(path) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: a config must be a JSON object, got {type(config).__name__}")
+    return config
 
 
-def _merge(*layers: dict) -> dict:
+def _merge(*layers: dict, path: str = "") -> dict:
     """Resolve values by precedence, later layers over earlier ones.
 
-    A dict value updates the dict it overrides key by key, one level deep,
-    so a flag can set one solver or kernel knob and keep the others.
+    An object updates the object it overrides key by key, at every depth,
+    so a flag or file key sets one knob and its siblings keep their values.
+    A string in place of an object with a ``kind`` sets that kind (the
+    kernel shorthand ``"kernel": "log"``). ``None`` means "not set".
     """
     out: dict = {}
     for layer in layers:
         for key, value in layer.items():
-            if isinstance(value, dict) and isinstance(out.get(key), dict):
-                value = {**out[key], **{k: v for k, v in value.items() if v is not None}}
+            old, where = out.get(key), key_path(path, key)
+            if isinstance(old, dict) and isinstance(value, str) and "kind" in old:
+                value = {"kind": value}
+            if isinstance(value, dict):
+                value = _merge(old if isinstance(old, dict) else {}, value, path=where)
+            elif isinstance(old, dict) and value is not None:
+                raise ValueError(f"{where}: expected a JSON object, got {type(value).__name__}")
             if value is not None:
                 out[key] = value
     return out
+
+
+def _flags(args, defaults: dict) -> dict:
+    """The command's flag for each key of ``defaults``, at every depth: None
+    where it has no such flag or the flag was not given; on/off as a boolean."""
+    return {key: _flags(args, value) if isinstance(value, dict)
+            else _ON_OFF.get(getattr(args, key, None), getattr(args, key, None))
+            for key, value in defaults.items()}
+
+
+def _unread(resolved: dict, config: dict, path: str = ""):
+    """Dotted keys of ``resolved`` missing from ``config``, the JSON of what was built from it."""
+    for key, value in resolved.items():
+        if key not in config:
+            yield key_path(path, key)
+        elif isinstance(value, dict):
+            yield from _unread(value, config[key], key_path(path, key))
+
+
+def _resolve(args, *classes) -> tuple[list, dict]:
+    """The configs of ``classes``, read from one JSON object and built.
+
+    The object is the classes' defaults, then the config file, then the
+    flags, merged at every depth. Returns the configs and the JSON of what
+    was built, which must hold every key of the object.
+    """
+    defaults = {key: value for cls in classes for key, value in cls().to_json().items()}
+    resolved = _merge(defaults, _load_config(args.config), _flags(args, defaults))
+    built = [cls.from_json(resolved) for cls in classes]
+    config = {key: value for cfg in built for key, value in cfg.to_json().items()}
+    unknown = list(_unread(resolved, config))
+    if unknown:
+        raise ValueError(f"unknown config key: {', '.join(unknown)}")
+    return built, config
 
 
 def _manifest(command: str, config: dict, seed, inputs, outputs, started: float) -> dict:
@@ -91,13 +131,12 @@ def _manifest(command: str, config: dict, seed, inputs, outputs, started: float)
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="dynamics/solver config JSON")
-    p.add_argument("--activation", choices=("identity", "tanh", "softplus", "relu"))
-    p.add_argument("--adjacency-mode", dest="adjacency_mode",
-                   choices=("static_row_normalized", "attention"))
-    p.add_argument("--kernel", help="kernel kind (log|power|gaussian|attention)")
+    p.add_argument("--activation", choices=ACTIVATION_KINDS)
+    p.add_argument("--adjacency-mode", dest="adjacency_mode", choices=ADJACENCY_MODES)
+    p.add_argument("--kernel", dest="kind", help="kernel kind (log|power|gaussian|attention)")
     p.add_argument("--diffusion", dest="diffusion_on", choices=("on", "off"))
     p.add_argument("--aggregation", dest="aggregation_on", choices=("on", "off"))
-    p.add_argument("--method", choices=("euler", "rk4", "dopri5"))
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--step", type=float)
     p.add_argument("--horizon", type=float)
     p.add_argument("--rel-tol", dest="rel_tol", type=float)
@@ -105,57 +144,20 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--record-every", dest="record_every", type=int)
 
 
-def _sim_flags(args) -> dict:
-    flags = {
-        "activation": args.activation,
-        "adjacency_mode": args.adjacency_mode,
-        "kernel": {"kind": args.kernel} if args.kernel else None,
-        "method": args.method,
-        "step": args.step,
-        "horizon": args.horizon,
-        "rel_tol": args.rel_tol,
-        "abs_tol": args.abs_tol,
-        "record_every": args.record_every,
-    }
-    for name in ("diffusion_on", "aggregation_on"):
-        raw = getattr(args, name)
-        if raw is not None:
-            flags[name] = raw == "on"
-    return flags
-
-
 def _run_simulation(args):
+    (dyn, solver), config = _resolve(args, DynamicsConfig, SolverConfig)
     ds = gio.read_dataset(args.dataset)
-    config = _load_config(args.config)
-    if isinstance(config.get("kernel"), str):
-        config["kernel"] = {"kind": config["kernel"]}
-    defaults = {**DynamicsConfig().to_json(), **SolverConfig().to_json()}
-    resolved = _merge(defaults, config, _sim_flags(args))
-    dyn = DynamicsConfig.from_json(resolved)
-    solver = SolverConfig.from_json(resolved)
     traj = integrate(lambda X, t: rhs(dyn, ds.graph, X, t), ds.features, solver)
-    return ds, resolved, traj
+    return ds, config, traj
 
 
 def _cmd_generate(args) -> int:
     started = time.time()
-    cfg = CsbmConfig(
-        n=args.n,
-        p_intra=args.p_intra,
-        p_inter=args.p_inter,
-        feat_dim=args.feat_dim,
-        class_mean_separation=args.separation,
-        noise_std=args.noise_std,
-    )
+    cfg = CsbmConfig(**_merge(_flags(args, asdict(CsbmConfig()))))
     ds = csbm_generate(cfg, args.seed)
     gio.write_dataset(ds, args.out)
-    resolved = {
-        "n": cfg.n, "p_intra": cfg.p_intra, "p_inter": cfg.p_inter,
-        "feat_dim": cfg.feat_dim, "separation": cfg.class_mean_separation,
-        "noise_std": cfg.noise_std,
-    }
     gio.write_manifest(args.out, _manifest(
-        "generate", resolved, args.seed, [],
+        "generate", asdict(cfg), args.seed, [],
         ["graph.txt", "features.csv", "labels.csv", "masks.csv"], started,
     ))
     print(f"wrote dataset with {ds.graph.n} nodes, {ds.graph.num_edges} edges to {args.out}")
@@ -164,27 +166,26 @@ def _cmd_generate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     started = time.time()
-    ds, resolved, traj = _run_simulation(args)
+    ds, config, traj = _run_simulation(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gio.write_trajectory_csv(traj, out / "trajectory.csv")
     gio.write_manifest(out, _manifest(
-        "simulate", resolved, None, [str(args.dataset)], ["trajectory.csv"], started,
+        "simulate", config, None, [str(args.dataset)], ["trajectory.csv"], started,
     ))
-    print(f"integrated to T={resolved['horizon']} with {traj.step_count} steps; "
+    print(f"integrated to T={config['horizon']} with {traj.step_count} steps; "
           f"{len(traj.times)} records -> {out / 'trajectory.csv'}")
     return 0
 
 
 def _cmd_energy(args) -> int:
     started = time.time()
-    ds = gio.read_dataset(args.dataset)
     if args.trajectory:
-        traj = gio.read_trajectory_csv(args.trajectory)
-        resolved = {"trajectory": str(args.trajectory)}
+        ds, traj = gio.read_dataset(args.dataset), gio.read_trajectory_csv(args.trajectory)
+        config = {"trajectory": str(args.trajectory)}
         inputs = [str(args.dataset), str(args.trajectory)]
     else:
-        ds, resolved, traj = _run_simulation(args)
+        ds, config, traj = _run_simulation(args)
         inputs = [str(args.dataset)]
 
     eps = args.eps if args.eps is not None else diag.default_cluster_eps(traj.states[0])
@@ -197,11 +198,7 @@ def _cmd_energy(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "energy.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "energy", "spread", "cluster_count"])
-        for t, e, s, c in zip(traj.times, energies, spreads, profile.counts):
-            w.writerow([f"{t:.17g}", f"{e:.17g}", f"{s:.17g}", int(c)])
+    gio.write_energy_csv(out / "energy.csv", traj.times, energies, spreads, profile.counts)
 
     summary = {
         "verdict": verdict,
@@ -214,10 +211,10 @@ def _cmd_energy(args) -> int:
     }
     gio.write_summary_json(out / "verdict.json", traj.times, energies, spreads,
                            profile.counts, extra=summary)
-    resolved.update({"eps": eps, "energy_floor_rel": args.energy_floor,
-                     "spread_floor": args.spread_floor})
+    config.update({"eps": eps, "energy_floor_rel": args.energy_floor,
+                   "spread_floor": args.spread_floor})
     gio.write_manifest(out, _manifest(
-        "energy", resolved, None, inputs, ["energy.csv", "verdict.json"], started,
+        "energy", config, None, inputs, ["energy.csv", "verdict.json"], started,
     ))
     print(f"verdict: {verdict} (final energy {energies[-1]:.3e}, spread {spreads[-1]:.3e})")
     return 0
@@ -237,23 +234,8 @@ def _cmd_grad_check(args) -> int:
 
 def _cmd_train(args) -> int:
     started = time.time()
+    (cfg,), config = _resolve(args, TrainConfig)
     ds = gio.read_dataset(args.dataset)
-    # the command's own default kernel is row-normalized
-    base = TrainConfig(dynamics=DynamicsConfig(kernel=KernelSpec("gaussian", normalize_rows=True)))
-    scalars = {f.name: getattr(base, f.name) for f in fields(base)
-               if f.name not in ("dynamics", "solver")}
-    defaults = {"dynamics": base.dynamics.to_json(), "solver": base.solver.to_json(), **scalars}
-    flags = {
-        "learning_rate": args.lr, "epochs": args.epochs,
-        "weight_decay": args.weight_decay, "seed": args.seed, "hidden": args.hidden,
-        "solver": {"method": args.method, "step": args.step, "horizon": args.horizon},
-    }
-    resolved = _merge(defaults, _load_config(args.config), flags)
-    cfg = TrainConfig(
-        dynamics=DynamicsConfig.from_json(resolved["dynamics"]),
-        solver=SolverConfig.from_json(resolved["solver"]),
-        **{name: type(value)(resolved[name]) for name, value in scalars.items()},
-    )
     params, metrics = train(ds, cfg)
 
     out = Path(args.out)
@@ -261,7 +243,7 @@ def _cmd_train(args) -> int:
     gio.write_checkpoint(out / "checkpoint.json", params, cfg.dynamics, cfg.solver)
     gio.write_metrics_csv(out / "metrics.csv", metrics)
     gio.write_manifest(out, _manifest(
-        "train", resolved, cfg.seed, [str(args.dataset)],
+        "train", config, cfg.seed, [str(args.dataset)],
         ["checkpoint.json", "metrics.csv"], started,
     ))
     # train keeps the parameters of the first epoch with the best val acc
@@ -277,12 +259,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", parents=[], help="sample a two-block dataset bundle")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--p-intra", dest="p_intra", type=float, default=0.9)
-    p.add_argument("--p-inter", dest="p_inter", type=float, default=0.05)
-    p.add_argument("--feat-dim", dest="feat_dim", type=int, default=2)
-    p.add_argument("--separation", type=float, default=1.0)
-    p.add_argument("--noise-std", dest="noise_std", type=float, default=0.1)
+    p.add_argument("--n", type=int)
+    p.add_argument("--p-intra", dest="p_intra", type=float)
+    p.add_argument("--p-inter", dest="p_inter", type=float)
+    p.add_argument("--feat-dim", dest="feat_dim", type=int)
+    p.add_argument("--separation", dest="class_mean_separation", type=float)
+    p.add_argument("--noise-std", dest="noise_std", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
@@ -313,12 +295,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the classifier on a dataset bundle")
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", help="train config JSON")
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--weight-decay", dest="weight_decay", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--hidden", type=int)
-    p.add_argument("--method", choices=("euler", "rk4"))
+    p.add_argument("--method", choices=FIXED_STEP_METHODS)
     p.add_argument("--step", type=float)
     p.add_argument("--horizon", type=float)
     p.add_argument("--out", required=True)
@@ -338,7 +320,7 @@ def dispatch(argv) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
+from .codec import from_fields, scalar, to_fields
 from .graph import Graph
 from .kernels import (
     KernelSpec,
@@ -56,6 +57,9 @@ class ActivationSpec:
         if self.kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.kind!r}")
 
+    def to_json(self) -> str:
+        return self.kind
+
     def apply(self, x: ad.Tensor) -> ad.Tensor:
         if self.kind == "identity":
             return x
@@ -72,10 +76,10 @@ class DynamicsConfig:
 
     activation: ActivationSpec = ActivationSpec("tanh")
     adjacency_mode: str = "static_row_normalized"
-    attention: ProjectionParams | None = None
     kernel: KernelSpec = KernelSpec("gaussian")
     diffusion_on: bool = True
     aggregation_on: bool = True
+    attention: ProjectionParams | None = None
 
     def __post_init__(self):
         if self.adjacency_mode not in ADJACENCY_MODES:
@@ -83,30 +87,15 @@ class DynamicsConfig:
         if not (self.diffusion_on or self.aggregation_on):
             raise ValueError("at least one of diffusion/aggregation must be enabled")
 
-    def to_json(self) -> dict:
-        obj = {
-            "activation": self.activation.kind,
-            "adjacency_mode": self.adjacency_mode,
-            "kernel": self.kernel.to_json(),
-            "diffusion_on": self.diffusion_on,
-            "aggregation_on": self.aggregation_on,
-        }
-        if self.attention is not None:
-            obj["attention"] = self.attention.to_json()
-        return obj
+    to_json = to_fields
 
     @classmethod
-    def from_json(cls, obj: dict) -> "DynamicsConfig":
-        attention = None
-        if obj.get("attention") is not None:
-            attention = ProjectionParams.from_json(obj["attention"])
-        return cls(
-            activation=ActivationSpec(obj.get("activation", "tanh")),
-            adjacency_mode=obj.get("adjacency_mode", "static_row_normalized"),
-            attention=attention,
-            kernel=KernelSpec.from_json(obj["kernel"]) if "kernel" in obj else KernelSpec("gaussian"),
-            diffusion_on=bool(obj.get("diffusion_on", True)),
-            aggregation_on=bool(obj.get("aggregation_on", True)),
+    def from_json(cls, obj: dict, path: str = "") -> "DynamicsConfig":
+        return from_fields(
+            cls, obj, path,
+            activation=lambda value, where: ActivationSpec(scalar(value, str, where)),
+            attention=ProjectionParams.from_json,
+            kernel=KernelSpec.from_json,
         )
 
 

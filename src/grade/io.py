@@ -25,6 +25,7 @@ __all__ = [
     "read_dataset",
     "write_trajectory_csv",
     "read_trajectory_csv",
+    "write_energy_csv",
     "write_summary_json",
     "write_checkpoint",
     "read_checkpoint",
@@ -37,6 +38,20 @@ _FMT = "{:.17g}"
 
 def _fmt(x: float) -> str:
     return _FMT.format(float(x))
+
+
+def _write_json(path, obj: dict, sort_keys: bool = False) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
+def _write_table(path, header: list[str], rows) -> None:
+    """Every CSV file: the header line, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 # ------------------------------------------------------------------ graphs
@@ -84,26 +99,14 @@ def write_dataset(ds: Dataset, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_edge_list(ds.graph, out / "graph.txt")
 
-    d = ds.features.shape[1]
-    with open(out / "features.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node"] + [f"f{j}" for j in range(d)])
-        for i in range(ds.graph.n):
-            w.writerow([i] + [_fmt(x) for x in ds.features[i]])
-
-    with open(out / "labels.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node", "label"])
-        for i, lab in enumerate(ds.labels):
-            w.writerow([i, int(lab)])
-
-    with open(out / "masks.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node", "train", "val", "test"])
-        for i in range(ds.graph.n):
-            w.writerow(
-                [i, int(ds.train_mask[i]), int(ds.val_mask[i]), int(ds.test_mask[i])]
-            )
+    n, d = ds.graph.n, ds.features.shape[1]
+    _write_table(out / "features.csv", ["node"] + [f"f{j}" for j in range(d)],
+                 ([i] + [_fmt(x) for x in ds.features[i]] for i in range(n)))
+    _write_table(out / "labels.csv", ["node", "label"],
+                 ([i, int(lab)] for i, lab in enumerate(ds.labels)))
+    _write_table(out / "masks.csv", ["node", "train", "val", "test"],
+                 ([i, int(ds.train_mask[i]), int(ds.val_mask[i]), int(ds.test_mask[i])]
+                  for i in range(n)))
 
 
 def _by_node(rows: list[list[str]], n: int, where: str) -> list[list[str]]:
@@ -148,12 +151,9 @@ def read_dataset(in_dir) -> Dataset:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Long format: one row per (time, node) with columns f0..f{d-1}."""
     d = traj.states.shape[2]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "node"] + [f"f{j}" for j in range(d)])
-        for t, state in zip(traj.times, traj.states):
-            for node in range(state.shape[0]):
-                w.writerow([_fmt(t), node] + [_fmt(x) for x in state[node]])
+    _write_table(path, ["time", "node"] + [f"f{j}" for j in range(d)],
+                 ([_fmt(t), node] + [_fmt(x) for x in state[node]]
+                  for t, state in zip(traj.times, traj.states) for node in range(state.shape[0])))
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -178,6 +178,13 @@ def read_trajectory_csv(path) -> Trajectory:
     return Trajectory(np.asarray(order), states, step_count=max(len(order) - 1, 0))
 
 
+def write_energy_csv(path, times, energy, spread, cluster_counts) -> None:
+    """One row per record: time, Dirichlet energy, spread and cluster count."""
+    _write_table(path, ["time", "energy", "spread", "cluster_count"],
+                 ([_fmt(t), _fmt(e), _fmt(s), int(c)]
+                  for t, e, s, c in zip(times, energy, spread, cluster_counts)))
+
+
 def write_summary_json(path, times, energy, spread, cluster_counts, extra=None) -> None:
     obj = {
         "times": [float(t) for t in times],
@@ -185,11 +192,7 @@ def write_summary_json(path, times, energy, spread, cluster_counts, extra=None) 
         "spread": [float(s) for s in spread],
         "cluster_count": [int(c) for c in cluster_counts],
     }
-    if extra:
-        obj.update(extra)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, {**obj, **(extra or {})})
 
 
 # ------------------------------------------------------------- checkpoints
@@ -201,9 +204,7 @@ def write_checkpoint(path, params: ModelParams, dynamics: DynamicsConfig, solver
         "dynamics_config": dynamics.to_json(),
         "solver_config": solver.to_json(),
     }
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, obj)
 
 
 def read_checkpoint(path) -> tuple[ModelParams, DynamicsConfig, SolverConfig]:
@@ -217,11 +218,8 @@ def read_checkpoint(path) -> tuple[ModelParams, DynamicsConfig, SolverConfig]:
 
 
 def write_metrics_csv(path, metrics: list[EpochMetrics]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "loss", "val_acc", "test_acc"])
-        for m in metrics:
-            w.writerow([m.epoch, _fmt(m.loss), _fmt(m.val_acc), _fmt(m.test_acc)])
+    _write_table(path, ["epoch", "loss", "val_acc", "test_acc"],
+                 ([m.epoch, _fmt(m.loss), _fmt(m.val_acc), _fmt(m.test_acc)] for m in metrics))
 
 
 # ---------------------------------------------------------------- manifest
@@ -233,8 +231,6 @@ def write_manifest(out_dir, manifest: dict) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     target = out / "manifest.json"
     tmp = out / ".manifest.json.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(tmp, manifest, sort_keys=True)
     os.replace(tmp, target)
     return target

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
+from .codec import from_fields, to_fields
 from .graph import Graph
 
 __all__ = [
@@ -44,12 +45,11 @@ class ProjectionParams:
             raise ValueError("scale must be > 0")
         object.__setattr__(self, "scale", scale)
 
-    def to_json(self) -> dict:
-        return {"theta": self.theta.tolist(), "scale": self.scale}
+    to_json = to_fields
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ProjectionParams":
-        return cls(np.array(obj["theta"], dtype=np.float64), float(obj["scale"]))
+    def from_json(cls, obj: dict, path: str = "attention") -> "ProjectionParams":
+        return from_fields(cls, obj, path, theta=lambda value, _: np.array(value, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,7 @@ class KernelSpec:
         # theta travels with model parameters, not with the kernel config
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "theta"}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "KernelSpec":
-        knobs = [f for f in fields(cls) if f.name not in ("kind", "theta") and f.name in obj]
-        return cls(obj["kind"], **{f.name: type(f.default)(obj[f.name]) for f in knobs})
+    from_json = classmethod(from_fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +203,11 @@ def normalized_kernel_arc_values(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
     else:
         vals = ad.log(ad.clamped_norm(diff, spec.singularity_floor))
         sums = ad.segment_sum(vals, g.arc_src, g.n)
-        if not np.all(np.isfinite(sums.data)) or np.any(sums.data[g.degree > 0] <= 0):
-            raise ValueError("log kernel rows must have positive finite sums to normalize")
+        s = sums.data[:, 0]
+        bad = np.flatnonzero((g.degree > 0) & ~(np.isfinite(s) & (s > 0)))
+        if bad.size:
+            raise ValueError("log kernel rows must have positive finite sums to normalize; "
+                             f"node {bad[0]}'s row sums to {s[bad[0]]:.17g}")
         return ad.mul(vals, ad.power(ad.gather_rows(sums, g.arc_src), -1.0))
     soft = ad.segment_softmax(ad.reshape(scores, (m,)), g.arc_offsets)
     return ad.reshape(soft, (m, 1))

@@ -9,9 +9,11 @@ on plain arrays and records a :class:`Trajectory`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
+
+from .codec import from_fields, to_fields
 
 __all__ = [
     "SolverConfig",
@@ -73,10 +75,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.horizon < 0:
+        if not self.horizon >= 0:
             raise ValueError("horizon must be >= 0")
         if self.method in FIXED_STEP_METHODS:
-            if self.step <= 0:
+            if not self.step > 0:
                 raise ValueError("step must be > 0")
             if self.horizon / self.step > self.max_steps:
                 raise ValueError("horizon/step exceeds max_steps")
@@ -88,12 +90,9 @@ class SolverConfig:
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
-    def to_json(self) -> dict:
-        return asdict(self)
+    to_json = to_fields
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SolverConfig":
-        return cls(**{f.name: type(f.default)(obj[f.name]) for f in fields(cls) if f.name in obj})
+    from_json = classmethod(from_fields)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,9 +13,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import autodiff as ad
+from .codec import from_fields, to_fields
 from .dynamics import DynamicsConfig, rhs_ops
-from .graph import Dataset
-from .kernels import ProjectionParams
+from .graph import Dataset, from_edge_list
+from .kernels import KernelSpec, ProjectionParams
 from .solvers import FIXED_STEP_METHODS, NumericalError, SolverConfig, Trajectory, fixed_steps
 
 __all__ = [
@@ -52,8 +53,7 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return replace(self, **{name: value.copy() for name, value in self.fields()})
 
-    def to_json(self) -> dict:
-        return {name: value.tolist() for name, value in self.fields()}
+    to_json = to_fields
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelParams":
@@ -65,7 +65,7 @@ class ModelParams:
 class TrainConfig:
     """Dynamics, fixed-step solver, and optimization hyperparameters."""
 
-    dynamics: DynamicsConfig = DynamicsConfig()
+    dynamics: DynamicsConfig = DynamicsConfig(kernel=KernelSpec("gaussian", normalize_rows=True))
     solver: SolverConfig = SolverConfig(method="euler", step=0.5, horizon=1.0)
     learning_rate: float = 0.2
     epochs: int = 100
@@ -80,6 +80,13 @@ class TrainConfig:
             raise ValueError("learning_rate and weight_decay must be >= 0")
         if self.epochs < 1 or self.hidden < 1:
             raise ValueError("epochs and hidden must be >= 1")
+
+    to_json = to_fields
+
+    @classmethod
+    def from_json(cls, obj: dict, path: str = "") -> "TrainConfig":
+        return from_fields(cls, obj, path, dynamics=DynamicsConfig.from_json,
+                           solver=SolverConfig.from_json)
 
 
 @dataclass(frozen=True)
@@ -259,10 +266,6 @@ def _random_instance(seed: int, h: float):
     it) or lets the state grow past a conditioning bound (finite
     differences need the loss to stay in its linear regime at step h).
     """
-    from .dynamics import ActivationSpec
-    from .graph import Dataset, from_edge_list
-    from .kernels import KernelSpec
-
     kinds = ("gaussian", "power", "log", "attention")
     for attempt in range(50):
         rng = np.random.default_rng((seed, attempt))
@@ -290,14 +293,11 @@ def _random_instance(seed: int, h: float):
         )
         adjacency = "attention" if seed % 2 == 1 else "static_row_normalized"
         dyn = DynamicsConfig(
-            activation=ActivationSpec("tanh"),
             adjacency_mode=adjacency,
             attention=ProjectionParams(np.zeros((hidden, hidden)))
             if (adjacency == "attention" or kind == "attention")
             else None,
             kernel=kernel,
-            diffusion_on=True,
-            aggregation_on=True,
         )
         steps = int(rng.integers(1, 6))
         cfg = TrainConfig(

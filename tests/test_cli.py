@@ -1,11 +1,20 @@
 """End-to-end CLI runs: commands, config precedence, exit codes, manifests."""
+import copy
 import csv
 import json
+import re
+import runpy
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from grade.cli import dispatch
+from grade import DynamicsConfig, KernelSpec, SolverConfig, TrainConfig
+from grade.cli import _merge, _resolve, _unread, build_parser, dispatch
 from grade import io as gio
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -278,3 +287,186 @@ def test_trajectory_non_finite_feature_exits_one(dataset_dir, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "trajectory.csv at t=1" in err and "node 42 has a non-finite feature" in err
+
+
+# ------------------------------------------------------------ config input
+
+
+def _with_config(tmp_path, command, dataset_dir, config, *flags):
+    path = tmp_path / "config.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    return dispatch([command, "--dataset", str(dataset_dir), "--config", str(path),
+                     *flags, "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command, config, named", [
+    ("simulate", "[1, 2]", "must be a JSON object, got list"),
+    ("simulate", {"kernel": 5}, "kernel: expected a JSON object, got int"),
+    ("train", {"dynamics": "x"}, "dynamics: expected a JSON object, got str"),
+    ("train", {"epochs": [1]}, "epochs: expected an integer, got list"),
+    ("simulate", {"diffusion_on": "false"}, "diffusion_on: expected true or false, got str"),
+    ("simulate", '{"step": 1' + "0" * 400 + "}", "step: the number is out of range"),
+    ("simulate", '{"step": NaN}', "step must be > 0"),
+    ("simulate", {"horizn": 3}, "unknown config key: horizn"),
+    ("simulate", {"kernel": {"kind": "gaussian", "bandwith": 2.0}},
+     "unknown config key: kernel.bandwith"),
+    ("train", {"dynamics": {"kernel": {"kind": "log", "bandwith": 2.0}}},
+     "unknown config key: dynamics.kernel.bandwith"),
+])
+def test_malformed_config_exits_one_naming_the_key(dataset_dir, tmp_path, capsys,
+                                                   command, config, named):
+    assert _with_config(tmp_path, command, dataset_dir, config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def _train_cfg(tmp_path, config, *flags):
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(config))
+    (cfg,), config = _resolve(build_parser().parse_args(
+        ["train", "--dataset", "ds", "--config", str(path), *flags, "--out", "x"]), TrainConfig)
+    return cfg, config
+
+
+def test_train_kernel_shorthand(tmp_path):
+    cfg, _ = _train_cfg(tmp_path, {"dynamics": {"kernel": "log"}})
+    assert cfg.dynamics.kernel == KernelSpec("log", normalize_rows=True)
+
+
+def test_train_nested_kernel_key_keeps_its_siblings(tmp_path):
+    # the kernel sits two levels down: setting its kind keeps normalize_rows
+    cfg, config = _train_cfg(tmp_path, {"dynamics": {"kernel": {"kind": "log"}}}, "--step", "0.25")
+    assert cfg.dynamics.kernel == KernelSpec("log", normalize_rows=True)
+    assert cfg.solver == SolverConfig("euler", step=0.25, horizon=1.0)
+    assert config == cfg.to_json()
+
+
+def test_readme_config_example_runs(dataset_dir, tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"A dynamics/solver config JSON looks like\s*```json\n(.*?)```", readme, re.S)
+    example = json.loads(block[1])
+    assert _with_config(tmp_path, "simulate", dataset_dir, example, "--horizon", "2") == 0
+    config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    assert config == {**config, **example, "horizon": 2.0}
+    assert len(gio.read_trajectory_csv(tmp_path / "out" / "trajectory.csv").times) == 3
+
+
+def test_bench_train_config_is_accepted(dataset_dir, tmp_path):
+    train_config = runpy.run_path(str(ROOT / "bench" / "workloads.py"))["TRAIN_CONFIG"]
+    assert _with_config(tmp_path, "train", dataset_dir, train_config, "--epochs", "2") == 0
+    config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    assert config["dynamics"]["kernel"]["normalize_rows"] is True
+    assert config["epochs"] == 2
+
+
+def _replay(tmp_path, command, dataset_dir, flags, outputs):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert dispatch([command, "--dataset", str(dataset_dir), *flags, "--out", str(first)]) == 0
+    config = tmp_path / "manifest_config.json"
+    config.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["config"]))
+    assert dispatch([command, "--dataset", str(dataset_dir), "--config", str(config),
+                     "--out", str(second)]) == 0
+    for name in outputs:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_simulate_replays_from_its_manifest_config(dataset_dir, tmp_path):
+    _replay(tmp_path, "simulate", dataset_dir,
+            ["--kernel", "power", "--activation", "softplus", "--method", "rk4",
+             "--step", "0.25", "--horizon", "1", "--record-every", "2"],
+            ["trajectory.csv"])
+
+
+def test_train_replays_from_its_manifest_config(dataset_dir, tmp_path):
+    _replay(tmp_path, "train", dataset_dir,
+            ["--epochs", "3", "--lr", "0.3", "--seed", "1", "--hidden", "6",
+             "--method", "rk4", "--step", "0.5", "--horizon", "1"],
+            ["checkpoint.json", "metrics.csv"])
+
+
+# Every knob of the two config layouts gets a few valid values; steps,
+# horizons and step budgets are chosen so that every combination is valid.
+_KNOB_VALUES = {
+    "learning_rate": st.sampled_from([0.0, 0.1, 1]),
+    "epochs": st.integers(1, 5),
+    "weight_decay": st.sampled_from([0.0, 1e-2]),
+    "seed": st.integers(0, 9),
+    "hidden": st.integers(1, 4),
+    "activation": st.sampled_from(["identity", "tanh", "softplus", "relu"]),
+    "adjacency_mode": st.sampled_from(["static_row_normalized", "attention"]),
+    "diffusion_on": st.booleans(),
+    "aggregation_on": st.booleans(),
+    "kind": st.sampled_from(["log", "power", "gaussian", "attention"]),
+    "delta": st.sampled_from([0.0, 0.5, 2]),
+    "bandwidth": st.sampled_from([0.5, 1.0, 3]),
+    "normalize_rows": st.booleans(),
+    "singularity_floor": st.sampled_from([1e-6, 1e-3]),
+    "method": st.sampled_from(["euler", "rk4"]),
+    "step": st.sampled_from([0.25, 0.5, 1]),
+    "horizon": st.sampled_from([0.0, 1.0, 2]),
+    "rel_tol": st.sampled_from([1e-6, 1e-3]),
+    "abs_tol": st.sampled_from([1e-9, 1e-4]),
+    "max_steps": st.integers(160, 1000),
+    "record_every": st.integers(1, 3),
+}
+
+_LAYOUTS = {
+    "train": (TrainConfig().to_json(), lambda r: TrainConfig.from_json(r).to_json()),
+    "simulate": (
+        {**DynamicsConfig().to_json(), **SolverConfig().to_json()},
+        lambda r: {**DynamicsConfig.from_json(r).to_json(), **SolverConfig.from_json(r).to_json()},
+    ),
+}
+
+
+def _leaves(obj, path=()):
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _nest(knobs: dict, shorthand: bool) -> dict:
+    """The layer setting each (path, value) of ``knobs``; with ``shorthand``
+    an object that sets only a kind is written as that kind."""
+    out: dict = {}
+    for path, value in knobs.items():
+        node = out
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+
+    def short(obj):
+        if isinstance(obj, dict) and shorthand and list(obj) == ["kind"]:
+            return obj["kind"]
+        return {k: short(v) for k, v in obj.items()} if isinstance(obj, dict) else obj
+
+    return {k: short(v) for k, v in out.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=st.sampled_from(sorted(_LAYOUTS)), data=st.data())
+def test_each_knob_is_set_at_any_depth_flags_over_file(layout, data):
+    defaults, build = _LAYOUTS[layout]
+    leaves = sorted(_leaves(defaults))
+
+    def layer():
+        chosen = data.draw(st.lists(st.sampled_from(leaves), unique=True))
+        return {path: data.draw(_KNOB_VALUES[path[-1]]) for path in chosen}
+
+    file, flags = layer(), layer()
+    want = copy.deepcopy(defaults)
+    for path, value in {**file, **flags}.items():
+        node = want
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    dynamics = want.get("dynamics", want)
+    assume(dynamics["diffusion_on"] or dynamics["aggregation_on"])
+
+    resolved = _merge(defaults, _nest(file, data.draw(st.booleans())),
+                      _nest(flags, data.draw(st.booleans())))
+    got = build(resolved)
+    assert got == want
+    assert not list(_unread(resolved, got))

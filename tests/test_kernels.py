@@ -186,6 +186,15 @@ def test_normalized_matrix_is_the_softmax_the_dynamics_use():
     np.testing.assert_array_equal(K.values, normalized_kernel_arc_values(spec, X, g).data.reshape(-1))
 
 
+def test_nonpositive_log_row_sum_names_the_node():
+    # on the path 0-1-2, node 0's row is log 5 > 0 and node 1's is
+    # log 5 + log 0.1 < 0: node 1 is the first row that cannot be normalized
+    g = from_edge_list(3, [(0, 1), (1, 2)])
+    X = np.array([[0.0], [5.0], [5.1]])
+    with pytest.raises(ValueError, match="positive finite sums.*node 1's row"):
+        kernel_matrix(KernelSpec("log", normalize_rows=True), X, g)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec("cubic")
