@@ -129,19 +129,23 @@ def _manifest(command: str, config: dict, seed, inputs, outputs, started: float)
     }
 
 
-def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="dynamics/solver config JSON")
-    p.add_argument("--activation", choices=ACTIVATION_KINDS)
-    p.add_argument("--adjacency-mode", dest="adjacency_mode", choices=ADJACENCY_MODES)
-    p.add_argument("--kernel", dest="kind", help="kernel kind (log|power|gaussian|attention)")
-    p.add_argument("--diffusion", dest="diffusion_on", choices=("on", "off"))
-    p.add_argument("--aggregation", dest="aggregation_on", choices=("on", "off"))
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--step", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float)
-    p.add_argument("--record-every", dest="record_every", type=int)
+def _add_sim_flags(p: argparse.ArgumentParser) -> dict[str, str]:
+    """Add the dynamics/solver flags; returns each one's option string by its dest."""
+    actions = [
+        p.add_argument("--config", help="dynamics/solver config JSON"),
+        p.add_argument("--activation", choices=ACTIVATION_KINDS),
+        p.add_argument("--adjacency-mode", dest="adjacency_mode", choices=ADJACENCY_MODES),
+        p.add_argument("--kernel", dest="kind", help="kernel kind (log|power|gaussian|attention)"),
+        p.add_argument("--diffusion", dest="diffusion_on", choices=("on", "off")),
+        p.add_argument("--aggregation", dest="aggregation_on", choices=("on", "off")),
+        p.add_argument("--method", choices=METHODS),
+        p.add_argument("--step", type=float),
+        p.add_argument("--horizon", type=float),
+        p.add_argument("--rel-tol", dest="rel_tol", type=float),
+        p.add_argument("--abs-tol", dest="abs_tol", type=float),
+        p.add_argument("--record-every", dest="record_every", type=int),
+    ]
+    return {a.dest: a.option_strings[0] for a in actions}
 
 
 def _run_simulation(args):
@@ -181,6 +185,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_energy(args) -> int:
     started = time.time()
     if args.trajectory:
+        given = [flag for dest, flag in args.sim_flags.items() if getattr(args, dest) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)}: dynamics and solver settings do not apply "
+                             "to a recorded --trajectory")
         ds, traj = gio.read_dataset(args.dataset), gio.read_trajectory_csv(args.trajectory)
         config = {"trajectory": str(args.trajectory)}
         inputs = [str(args.dataset), str(args.trajectory)]
@@ -278,13 +286,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("energy", help="energy/spread/cluster diagnostics and verdict")
     p.add_argument("--dataset", required=True)
     p.add_argument("--trajectory", help="existing trajectory CSV; otherwise simulate")
-    _add_sim_flags(p)
+    sim_flags = _add_sim_flags(p)
     p.add_argument("--eps", type=float, help="cluster eps (default: 5%% of initial diameter)")
     p.add_argument("--energy-floor", dest="energy_floor", type=float, default=1e-8,
                    help="over-smoothing energy floor, relative to E(X(0))")
     p.add_argument("--spread-floor", dest="spread_floor", type=float, default=1e-4)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_energy)
+    p.set_defaults(func=_cmd_energy, sim_flags=sim_flags)
 
     p = sub.add_parser("grad-check", help="reverse-sweep vs finite-difference gradients")
     p.add_argument("--seed", type=int, default=0)

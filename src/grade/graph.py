@@ -170,47 +170,57 @@ def _build_graph(n: int, eu: np.ndarray, ev: np.ndarray, w: np.ndarray) -> Graph
     return Graph(n, *arrays)
 
 
+def _as_array(values, dtype) -> np.ndarray:
+    """``values`` (an array, a list, a tuple or any other iterable) as an array of ``dtype``."""
+    return np.asarray(values if isinstance(values, (np.ndarray, list, tuple)) else list(values),
+                      dtype=dtype)
+
+
 def from_edge_list(n, edges, weights=None) -> Graph:
     """Build a Graph from undirected pairs, collapsing (u,v)/(v,u) duplicates.
 
     Duplicate pairs must agree on weight; self-loops, out-of-range endpoints
-    and negative weights are rejected.
+    and negative weights are rejected. The error names the first offending
+    pair in input order; a duplicate is compared with the first occurrence
+    of its pair, whose weight is kept.
     """
     if n < 0:
         raise ValueError("node count must be >= 0")
-    edges = list(edges)
-    if weights is None:
-        weights = [1.0] * len(edges)
-    else:
-        weights = [float(x) for x in weights]
-        if len(weights) != len(edges):
-            raise ValueError("weights must match edges in length")
+    try:
+        pairs = _as_array(edges, np.int64)
+    except OverflowError:
+        raise ValueError("edge endpoint out of range: too large for a node id") from None
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    m = pairs.shape[0]
+    w = np.ones(m) if weights is None else _as_array(weights, np.float64)
+    if w.shape != (m,):
+        raise ValueError("weights must match edges in length")
 
-    seen: dict[tuple[int, int], float] = {}
-    for (u, v), w in zip(edges, weights):
-        u, v = int(u), int(v)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge endpoint out of range: ({u}, {v})")
-        if u == v:
-            raise ValueError(f"self-loop at node {u}")
-        if w < 0:
-            raise ValueError(f"negative weight on edge ({u}, {v})")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            if seen[key] != w:
-                raise ValueError(f"conflicting duplicate weights for edge {key}")
-        else:
-            seen[key] = w
+    u, v = pairs.T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))  # stable, so each pair's first occurrence leads its run
+    starts = np.ones(m, dtype=bool)
+    starts[1:] = (lo[order[1:]] != lo[order[:-1]]) | (hi[order[1:]] != hi[order[:-1]])
+    first = order[starts]
+    first_of = np.empty(m, dtype=np.int64)
+    first_of[order] = first[np.cumsum(starts) - 1]
 
-    if seen:
-        eu = np.array([k[0] for k in seen], dtype=np.int64)
-        ev = np.array([k[1] for k in seen], dtype=np.int64)
-        w = np.array([seen[k] for k in seen], dtype=np.float64)
-    else:
-        eu = np.zeros(0, dtype=np.int64)
-        ev = np.zeros(0, dtype=np.int64)
-        w = np.zeros(0, dtype=np.float64)
-    return _build_graph(n, eu, ev, w)
+    faults = (
+        ((lo < 0) | (hi >= n), "edge endpoint out of range: ({u}, {v})"),
+        (u == v, "self-loop at node {u}"),
+        (w < 0, "negative weight on edge ({u}, {v})"),
+        ((first_of != np.arange(m)) & (w[first_of] != w),
+         "conflicting duplicate weights for edge ({lo}, {hi})"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in faults])
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = next(text for mask, text in faults if mask[i])
+        raise ValueError(message.format(u=u[i], v=v[i], lo=lo[i], hi=hi[i]))
+    return _build_graph(n, lo[first], hi[first], w[first])
 
 
 def row_normalized_adjacency(g: Graph) -> sp.csr_array:

@@ -6,9 +6,10 @@ outputs they describe.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
+import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +34,6 @@ __all__ = [
     "write_manifest",
 ]
 
-_FMT = "{:.17g}"
-
-
-def _fmt(x: float) -> str:
-    return _FMT.format(float(x))
-
 
 def _write_json(path, obj: dict, sort_keys: bool = False) -> None:
     with open(path, "w") as fh:
@@ -46,12 +41,97 @@ def _write_json(path, obj: dict, sort_keys: bool = False) -> None:
         fh.write("\n")
 
 
-def _write_table(path, header: list[str], rows) -> None:
-    """Every CSV file: the header line, then one line per row."""
+def _csv_head(*names: str) -> str:
+    return ",".join(names) + "\r\n"
+
+
+def _rows(*columns) -> tuple[int, tuple]:
+    """One record of a table: its row count and every value, row by row.
+
+    A column is an (r,) or (r, k) array or sequence; values come out as
+    Python numbers (or strings), the way ``tolist`` gives them.
+    """
+    table = np.column_stack([np.asarray(c).astype(object) for c in columns])
+    return len(table), tuple(table.ravel())
+
+
+def _write_table(path, head: str, row: str, records) -> None:
+    """Every CSV file and the edge list: ``head``, then each record of ``records``.
+
+    A record is a row count and a tuple of that many rows' values (see ``_rows``),
+    written with the %-template ``row`` repeated once per row; floats use
+    ``%.17g`` so doubles round-trip. Only one record is in memory at a time.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(head)
+        for count, values in records:
+            fh.write((row * count) % values)
+            del values  # so that the next record is built without this one
+
+
+def _load_table(path, lead: list[tuple[str, str]], values: str) -> np.ndarray:
+    """The rows under a CSV header as one structured array.
+
+    Its fields are the ``lead`` (name, dtype) columns, then ``values``: every
+    further column, of that dtype. A decimal literal parses to the same
+    number as ``int()`` or ``float()`` gives; a file without rows gives zero
+    rows.
+    """
+    with open(path) as fh:
+        fh.readline()
+        start = fh.tell()
+        line = fh.readline()
+        while line and not line.strip():
+            line = fh.readline()
+        width = line.count(",") + 1 - len(lead) if line else 0
+        dtype = np.dtype(lead + [("values", values, (width,))])
+        if not line:
+            return np.zeros(0, dtype)
+        fh.seek(start)
+        return _loadtxt(path, fh, dtype, delimiter=",")
+
+
+def _loadtxt(path, lines, dtype, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` of ``lines`` with no comment syntax; a malformed field,
+    such as a non-integral number in an integer field, raises a ValueError
+    that names ``path``."""
+    with warnings.catch_warnings():
+        # numpy releases that still accept "1.5" in an integer field truncate it with this warning
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        try:
+            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1, **kwargs)
+        except (ValueError, DeprecationWarning) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _node_order(node: np.ndarray, record: np.ndarray, n: int, where) -> np.ndarray:
+    """Row order by record, then node id, for rows that list each id in [0, n)
+    exactly once per record.
+
+    ``record`` numbers the records from 0 in file order, and ``where(r)``
+    names record r in errors. The first record with a fault is reported: its
+    first row whose node is out of range or listed before, else its smallest
+    missing node.
+    """
+    order = np.lexsort((node, record))
+    s_node, s_record = node[order], record[order]
+    repeat = np.zeros(node.size, dtype=bool)
+    repeat[order[1:]] = (s_node[1:] == s_node[:-1]) & (s_record[1:] == s_record[:-1])
+    bad = (node < 0) | (node >= n) | repeat
+    short = np.bincount(record, minlength=1) < n
+    first_bad = record[bad].min(initial=short.size)
+    first_short = int(np.argmax(short)) if short.any() else short.size
+    r = min(first_bad, first_short)
+    if r == short.size:
+        return order
+    if r == first_bad:
+        i = int(np.flatnonzero(bad & (record == r))[0])
+        # a repeated id is in range, or its first occurrence would have been reported
+        fault = "appears more than once" if repeat[i] else f"is out of range for {n} nodes"
+        raise ValueError(f"{where(r)}: node {node[i]} {fault}")
+    present = np.zeros(n, dtype=bool)
+    present[node[record == r]] = True
+    raise ValueError(f"{where(r)}: node {int(np.argmin(present))} is missing")
 
 
 # ------------------------------------------------------------------ graphs
@@ -59,35 +139,53 @@ def _write_table(path, header: list[str], rows) -> None:
 
 def write_edge_list(g: Graph, path) -> None:
     """One `u v weight` triple per line, 0-based ids, `#` comments allowed."""
-    with open(path, "w") as fh:
-        fh.write(f"# nodes: {g.n}\n")
-        for u, v, w in zip(g.edge_u, g.edge_v, g.edge_weight):
-            fh.write(f"{u} {v} {_fmt(w)}\n")
+    _write_table(path, f"# nodes: {g.n}\n", "%d %d %.17g\n",
+                 [_rows(g.edge_u, g.edge_v, g.edge_weight)])
+
+
+_EDGE = np.dtype([("u", "i8"), ("v", "i8"), ("w", "f8")])
 
 
 def read_edge_list(path, n: int | None = None) -> Graph:
-    """Parse the edge-list text format; node count from the header or ``n``."""
-    edges, weights = [], []
-    header_n = None
-    with open(path) as fh:
+    """Parse the edge-list text format; node count from the header or ``n``.
+
+    A line holds `u v` or `u v weight` (weight 1 when absent); blank lines
+    and lines starting with `#` are skipped, and `# nodes: N` sets the node
+    count.
+    """
+    header_n, fault = None, None
+
+    def edge_lines(fh):
+        """The edge lines of ``fh``, each with three fields; reads the header on
+        the way and stops at the first line that is neither."""
+        nonlocal header_n, fault
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
+            parts = raw.split()
+            if parts and parts[0].startswith("#"):
+                line = raw.strip()
                 if "nodes:" in line:
-                    header_n = int(line.split("nodes:")[1].strip())
-                continue
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ValueError(f"{path}:{lineno}: expected 'u v [weight]'")
-            edges.append((int(parts[0]), int(parts[1])))
-            weights.append(float(parts[2]) if len(parts) == 3 else 1.0)
+                    try:
+                        header_n = int(line.split("nodes:")[1].strip())
+                    except ValueError:
+                        fault = f"{path}:{lineno}: expected '# nodes: N'"
+                        return
+            elif parts:
+                if len(parts) not in (2, 3):
+                    fault = f"{path}:{lineno}: expected 'u v [weight]'"
+                    return
+                yield raw if len(parts) == 3 else raw.rstrip("\n") + " 1"
+
+    with open(path) as fh:
+        lines = edge_lines(fh)
+        first = next(lines, None)
+        # a fault in a line before the one that stopped the lines is reported first
+        edges = np.zeros(0, _EDGE) if first is None else _loadtxt(path, chain([first], lines), _EDGE)
+    if fault:
+        raise ValueError(fault)
     if n is None:
-        n = header_n if header_n is not None else (
-            max((max(u, v) for u, v in edges), default=-1) + 1
-        )
-    return from_edge_list(n, edges, weights)
+        n = header_n if header_n is not None else \
+            int(np.maximum(edges["u"], edges["v"]).max(initial=-1)) + 1
+    return from_edge_list(n, np.stack([edges["u"], edges["v"]], axis=1), edges["w"])
 
 
 # ---------------------------------------------------------------- datasets
@@ -99,35 +197,22 @@ def write_dataset(ds: Dataset, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_edge_list(ds.graph, out / "graph.txt")
 
-    n, d = ds.graph.n, ds.features.shape[1]
-    _write_table(out / "features.csv", ["node"] + [f"f{j}" for j in range(d)],
-                 ([i] + [_fmt(x) for x in ds.features[i]] for i in range(n)))
-    _write_table(out / "labels.csv", ["node", "label"],
-                 ([i, int(lab)] for i, lab in enumerate(ds.labels)))
-    _write_table(out / "masks.csv", ["node", "train", "val", "test"],
-                 ([i, int(ds.train_mask[i]), int(ds.val_mask[i]), int(ds.test_mask[i])]
-                  for i in range(n)))
+    nodes, d = np.arange(ds.graph.n), ds.features.shape[1]
+    _write_table(out / "features.csv", _csv_head("node", *(f"f{j}" for j in range(d))),
+                 "%d" + ",%.17g" * d + "\r\n", [_rows(nodes, ds.features)])
+    _write_table(out / "labels.csv", _csv_head("node", "label"), "%d,%d\r\n",
+                 [_rows(nodes, ds.labels)])
+    _write_table(out / "masks.csv", _csv_head("node", "train", "val", "test"), "%d,%d,%d,%d\r\n",
+                 [_rows(nodes, ds.train_mask, ds.val_mask, ds.test_mask)])
 
 
-def _by_node(rows: list[list[str]], n: int, where: str) -> list[list[str]]:
-    """The rows of a per-node table ordered by node id; each id in [0, n) exactly once."""
-    by_node: dict[int, list[str]] = {}
-    for row in rows:
-        node = int(row[0])
-        if not 0 <= node < n:
-            raise ValueError(f"{where}: node {node} is out of range for {n} nodes")
-        if node in by_node:
-            raise ValueError(f"{where}: node {node} appears more than once")
-        by_node[node] = row[1:]
-    if len(by_node) < n:
-        missing = min(set(range(n)) - by_node.keys())
-        raise ValueError(f"{where}: node {missing} is missing")
-    return [by_node[i] for i in range(n)]
-
-
-def _read_table(path, n: int) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        return _by_node(list(csv.reader(fh))[1:], n, str(path))
+def _read_table(path, n: int, values: str, width: int | None = None) -> np.ndarray:
+    """The value columns of a per-node table, one row per node id in order."""
+    rows = _load_table(path, [("node", "i8")], values)
+    if width is not None and rows["values"].shape[1] < width:
+        raise ValueError(f"{path}: expected {width} value columns after the node id")
+    order = _node_order(rows["node"], np.zeros(rows.size, dtype=np.int64), n, lambda r: path)
+    return rows["values"][order, :width]
 
 
 def read_dataset(in_dir) -> Dataset:
@@ -139,9 +224,9 @@ def read_dataset(in_dir) -> Dataset:
     graph = read_edge_list(src / "graph.txt")
     n = graph.n
 
-    features = np.array([[float(x) for x in row] for row in _read_table(src / "features.csv", n)])
-    labels = np.array([int(row[0]) for row in _read_table(src / "labels.csv", n)], dtype=np.int64)
-    masks = np.array([[bool(int(x)) for x in row[:3]] for row in _read_table(src / "masks.csv", n)])
+    features = _read_table(src / "features.csv", n, "f8")
+    labels = _read_table(src / "labels.csv", n, "i8", 1)[:, 0]
+    masks = _read_table(src / "masks.csv", n, "i8", 3).astype(bool)
     return Dataset(graph, features, labels, *masks.T)
 
 
@@ -150,39 +235,42 @@ def read_dataset(in_dir) -> Dataset:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Long format: one row per (time, node) with columns f0..f{d-1}."""
-    d = traj.states.shape[2]
-    _write_table(path, ["time", "node"] + [f"f{j}" for j in range(d)],
-                 ([_fmt(t), node] + [_fmt(x) for x in state[node]]
-                  for t, state in zip(traj.times, traj.states) for node in range(state.shape[0])))
+    _, n, d = traj.states.shape
+    nodes = np.arange(n)
+    _write_table(path, _csv_head("time", "node", *(f"f{j}" for j in range(d))),
+                 "%s,%d" + ",%.17g" * d + "\r\n",
+                 (_rows(np.full(n, "%.17g" % t, dtype=object), nodes, state)
+                  for t, state in zip(traj.times.tolist(), traj.states)))
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Read the long format; every record lists the first record's nodes once, all finite."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    by_time: dict[float, list[list[str]]] = {}
-    for row in rows[1:]:
-        by_time.setdefault(float(row[0]), []).append(row[1:])
-    if not by_time:
+    """Read the long format; every record lists the first record's nodes once, all finite.
+
+    Rows with the same time form one record, in order of first appearance;
+    a record's rows may come in any order.
+    """
+    rows = _load_table(path, [("time", "f8"), ("node", "i8")], "f8")
+    if not rows.size:
         raise ValueError(f"{path}: no records")
-    order = list(by_time)
-    n = len(by_time[order[0]])
-    states = np.array([
-        [[float(x) for x in feats] for feats in _by_node(by_time[t], n, f"{path} at t={t:.17g}")]
-        for t in order
-    ])
+    # NaN times never compare equal, so each NaN row is a record of its own
+    _, first, inverse = np.unique(rows["time"], return_index=True, return_inverse=True,
+                                  equal_nan=False)
+    record = np.argsort(np.argsort(first))[inverse]  # numbered in order of first appearance
+    times = rows["time"][np.sort(first)]
+    n = int(np.count_nonzero(record == 0))
+    order = _node_order(rows["node"], record, n, lambda r: f"{path} at t={times[r]:.17g}")
+    states = rows["values"][order].reshape(times.size, n, rows["values"].shape[1])
     bad = np.argwhere(~np.isfinite(states))
     if bad.size:
         rec, node, _ = bad[0]
-        raise ValueError(f"{path} at t={order[rec]:.17g}: node {node} has a non-finite feature")
-    return Trajectory(np.asarray(order), states, step_count=max(len(order) - 1, 0))
+        raise ValueError(f"{path} at t={times[rec]:.17g}: node {node} has a non-finite feature")
+    return Trajectory(times, states, step_count=max(times.size - 1, 0))
 
 
 def write_energy_csv(path, times, energy, spread, cluster_counts) -> None:
     """One row per record: time, Dirichlet energy, spread and cluster count."""
-    _write_table(path, ["time", "energy", "spread", "cluster_count"],
-                 ([_fmt(t), _fmt(e), _fmt(s), int(c)]
-                  for t, e, s, c in zip(times, energy, spread, cluster_counts)))
+    _write_table(path, _csv_head("time", "energy", "spread", "cluster_count"),
+                 "%.17g,%.17g,%.17g,%d\r\n", [_rows(times, energy, spread, cluster_counts)])
 
 
 def write_summary_json(path, times, energy, spread, cluster_counts, extra=None) -> None:
@@ -218,8 +306,9 @@ def read_checkpoint(path) -> tuple[ModelParams, DynamicsConfig, SolverConfig]:
 
 
 def write_metrics_csv(path, metrics: list[EpochMetrics]) -> None:
-    _write_table(path, ["epoch", "loss", "val_acc", "test_acc"],
-                 ([m.epoch, _fmt(m.loss), _fmt(m.val_acc), _fmt(m.test_acc)] for m in metrics))
+    values = tuple(x for m in metrics for x in (m.epoch, m.loss, m.val_acc, m.test_acc))
+    _write_table(path, _csv_head("epoch", "loss", "val_acc", "test_acc"),
+                 "%d,%.17g,%.17g,%.17g\r\n", [(len(metrics), values)])
 
 
 # ---------------------------------------------------------------- manifest

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .codec import from_fields, to_fields
+from .codec import from_fields, matrix, to_fields
 from .graph import Graph
 
 __all__ = [
@@ -49,7 +49,7 @@ class ProjectionParams:
 
     @classmethod
     def from_json(cls, obj: dict, path: str = "attention") -> "ProjectionParams":
-        return from_fields(cls, obj, path, theta=lambda value, _: np.array(value, dtype=np.float64))
+        return from_fields(cls, obj, path, theta=matrix)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,16 @@ code with the vectorized paths it checks.
 """
 from __future__ import annotations
 
+import csv
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
+
+from grade.graph import Dataset, Graph, _build_graph
+from grade.solvers import Trajectory
+from grade.training import EpochMetrics
 
 
 def dense_weight_matrix(g) -> np.ndarray:
@@ -224,3 +230,193 @@ def feature_diameter(X: np.ndarray) -> float:
     n = X.shape[0]
     return math.sqrt(max((pair_sq_distance(X, i, j) for i in range(n) for j in range(n)),
                          default=0.0))
+
+
+# ------------------------------------------------------------ file formats
+# The csv-module writers and the loop- and dict-based readers that
+# grade.io and grade.graph.from_edge_list used before their numpy rewrite,
+# kept as written: the new code must write the same bytes, parse the same
+# bits and raise the same first error. ref_from_edge_list hands its checked,
+# deduplicated edges to grade's own _build_graph, which the rewrite left alone.
+
+
+def ref_fmt(x: float) -> str:
+    return "{:.17g}".format(float(x))
+
+
+def ref_write_table(path, header: list[str], rows) -> None:
+    """Every CSV file: the header line, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def ref_from_edge_list(n, edges, weights=None) -> Graph:
+    """Build a Graph from undirected pairs, collapsing (u,v)/(v,u) duplicates.
+
+    Duplicate pairs must agree on weight; self-loops, out-of-range endpoints
+    and negative weights are rejected.
+    """
+    if n < 0:
+        raise ValueError("node count must be >= 0")
+    edges = list(edges)
+    if weights is None:
+        weights = [1.0] * len(edges)
+    else:
+        weights = [float(x) for x in weights]
+        if len(weights) != len(edges):
+            raise ValueError("weights must match edges in length")
+
+    seen: dict[tuple[int, int], float] = {}
+    for (u, v), w in zip(edges, weights):
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge endpoint out of range: ({u}, {v})")
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if w < 0:
+            raise ValueError(f"negative weight on edge ({u}, {v})")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            if seen[key] != w:
+                raise ValueError(f"conflicting duplicate weights for edge {key}")
+        else:
+            seen[key] = w
+
+    if seen:
+        eu = np.array([k[0] for k in seen], dtype=np.int64)
+        ev = np.array([k[1] for k in seen], dtype=np.int64)
+        w = np.array([seen[k] for k in seen], dtype=np.float64)
+    else:
+        eu = np.zeros(0, dtype=np.int64)
+        ev = np.zeros(0, dtype=np.int64)
+        w = np.zeros(0, dtype=np.float64)
+    return _build_graph(n, eu, ev, w)
+
+
+def ref_write_edge_list(g: Graph, path) -> None:
+    """One `u v weight` triple per line, 0-based ids, `#` comments allowed."""
+    with open(path, "w") as fh:
+        fh.write(f"# nodes: {g.n}\n")
+        for u, v, w in zip(g.edge_u, g.edge_v, g.edge_weight):
+            fh.write(f"{u} {v} {ref_fmt(w)}\n")
+
+
+def ref_read_edge_list(path, n: int | None = None) -> Graph:
+    """Parse the edge-list text format; node count from the header or ``n``."""
+    edges, weights = [], []
+    header_n = None
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith("#"):
+                if "nodes:" in line:
+                    header_n = int(line.split("nodes:")[1].strip())
+                continue
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) not in (2, 3):
+                raise ValueError(f"{path}:{lineno}: expected 'u v [weight]'")
+            edges.append((int(parts[0]), int(parts[1])))
+            weights.append(float(parts[2]) if len(parts) == 3 else 1.0)
+    if n is None:
+        n = header_n if header_n is not None else (
+            max((max(u, v) for u, v in edges), default=-1) + 1
+        )
+    return ref_from_edge_list(n, edges, weights)
+
+
+def ref_write_dataset(ds: Dataset, out_dir) -> None:
+    """Write the bundle {graph.txt, features.csv, labels.csv, masks.csv}."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    ref_write_edge_list(ds.graph, out / "graph.txt")
+
+    n, d = ds.graph.n, ds.features.shape[1]
+    ref_write_table(out / "features.csv", ["node"] + [f"f{j}" for j in range(d)],
+                    ([i] + [ref_fmt(x) for x in ds.features[i]] for i in range(n)))
+    ref_write_table(out / "labels.csv", ["node", "label"],
+                    ([i, int(lab)] for i, lab in enumerate(ds.labels)))
+    ref_write_table(out / "masks.csv", ["node", "train", "val", "test"],
+                    ([i, int(ds.train_mask[i]), int(ds.val_mask[i]), int(ds.test_mask[i])]
+                     for i in range(n)))
+
+
+def ref_by_node(rows: list[list[str]], n: int, where: str) -> list[list[str]]:
+    """The rows of a per-node table ordered by node id; each id in [0, n) exactly once."""
+    by_node: dict[int, list[str]] = {}
+    for row in rows:
+        node = int(row[0])
+        if not 0 <= node < n:
+            raise ValueError(f"{where}: node {node} is out of range for {n} nodes")
+        if node in by_node:
+            raise ValueError(f"{where}: node {node} appears more than once")
+        by_node[node] = row[1:]
+    if len(by_node) < n:
+        missing = min(set(range(n)) - by_node.keys())
+        raise ValueError(f"{where}: node {missing} is missing")
+    return [by_node[i] for i in range(n)]
+
+
+def ref_read_table(path, n: int) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return ref_by_node(list(csv.reader(fh))[1:], n, str(path))
+
+
+def ref_read_dataset(in_dir) -> Dataset:
+    """Read a bundle; every per-node file must list each node exactly once."""
+    src = Path(in_dir)
+    for name in ("graph.txt", "features.csv", "labels.csv", "masks.csv"):
+        if not (src / name).exists():
+            raise FileNotFoundError(f"dataset bundle is missing {name}")
+    graph = ref_read_edge_list(src / "graph.txt")
+    n = graph.n
+
+    features = np.array([[float(x) for x in row] for row in ref_read_table(src / "features.csv", n)])
+    labels = np.array([int(row[0]) for row in ref_read_table(src / "labels.csv", n)], dtype=np.int64)
+    masks = np.array([[bool(int(x)) for x in row[:3]] for row in ref_read_table(src / "masks.csv", n)])
+    return Dataset(graph, features, labels, *masks.T)
+
+
+def ref_write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Long format: one row per (time, node) with columns f0..f{d-1}."""
+    d = traj.states.shape[2]
+    ref_write_table(path, ["time", "node"] + [f"f{j}" for j in range(d)],
+                    ([ref_fmt(t), node] + [ref_fmt(x) for x in state[node]]
+                     for t, state in zip(traj.times, traj.states) for node in range(state.shape[0])))
+
+
+def ref_read_trajectory_csv(path) -> Trajectory:
+    """Read the long format; every record lists the first record's nodes once, all finite."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    by_time: dict[float, list[list[str]]] = {}
+    for row in rows[1:]:
+        by_time.setdefault(float(row[0]), []).append(row[1:])
+    if not by_time:
+        raise ValueError(f"{path}: no records")
+    order = list(by_time)
+    n = len(by_time[order[0]])
+    states = np.array([
+        [[float(x) for x in feats] for feats in ref_by_node(by_time[t], n, f"{path} at t={t:.17g}")]
+        for t in order
+    ])
+    bad = np.argwhere(~np.isfinite(states))
+    if bad.size:
+        rec, node, _ = bad[0]
+        raise ValueError(f"{path} at t={order[rec]:.17g}: node {node} has a non-finite feature")
+    return Trajectory(np.asarray(order), states, step_count=max(len(order) - 1, 0))
+
+
+def ref_write_energy_csv(path, times, energy, spread, cluster_counts) -> None:
+    """One row per record: time, Dirichlet energy, spread and cluster count."""
+    ref_write_table(path, ["time", "energy", "spread", "cluster_count"],
+                    ([ref_fmt(t), ref_fmt(e), ref_fmt(s), int(c)]
+                     for t, e, s, c in zip(times, energy, spread, cluster_counts)))
+
+
+def ref_write_metrics_csv(path, metrics: list[EpochMetrics]) -> None:
+    ref_write_table(path, ["epoch", "loss", "val_acc", "test_acc"],
+                    ([m.epoch, ref_fmt(m.loss), ref_fmt(m.val_acc), ref_fmt(m.test_acc)] for m in metrics))

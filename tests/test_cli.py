@@ -133,6 +133,25 @@ def test_energy_from_existing_trajectory(dataset_dir, tmp_path):
     assert (out / "energy.csv").exists()
 
 
+def test_energy_from_trajectory_rejects_dynamics_settings(dataset_dir, tmp_path, capsys):
+    # a recorded trajectory is not simulated, so a config or a dynamics/solver
+    # flag would be silently ignored; it is an error instead
+    run = tmp_path / "run"
+    assert dispatch(["simulate", "--dataset", str(dataset_dir), "--method", "euler",
+                     "--step", "1", "--horizon", "2", "--out", str(run)]) == 0
+    capsys.readouterr()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"horizn": 3}))
+    out = tmp_path / "energy"
+    code = dispatch(["energy", "--dataset", str(dataset_dir), "--trajectory",
+                     str(run / "trajectory.csv"), "--config", str(config),
+                     "--kernel", "nonsense", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --config, --kernel: ") and "do not apply" in err
+    assert not out.exists()
+
+
 def test_grad_check_passes(capsys):
     code = dispatch(["grad-check", "--seed", "1", "--instances", "2"])
     out = capsys.readouterr().out
@@ -262,6 +281,21 @@ def test_bundle_node_out_of_range_exits_one(dataset_dir, tmp_path, capsys):
     assert "masks.csv" in err and "node 100 is out of range" in err
 
 
+@pytest.mark.parametrize("name, column, text", [
+    ("labels.csv", 1, "1.5"), ("masks.csv", 2, "0.5"), ("features.csv", 0, "1e3"),
+    ("features.csv", 1, "0.5#x")])
+def test_bundle_malformed_field_exits_one(dataset_dir, tmp_path, capsys, name, column, text):
+    # a non-integral id, label or mask must not be truncated, nor "#" start a comment
+    def edit(rows):
+        rows[3][column] = text
+        return rows
+    _rewrite_rows(dataset_dir / name, edit)
+    assert dispatch(["simulate", "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert f"{name}: could not convert string '{text}'" in err and "Traceback" not in err
+
+
 def test_trajectory_missing_node_exits_one(dataset_dir, tmp_path, capsys):
     run = tmp_path / "run"
     assert dispatch(["simulate", "--dataset", str(dataset_dir), "--method", "euler",
@@ -312,6 +346,10 @@ def _with_config(tmp_path, command, dataset_dir, config, *flags):
      "unknown config key: kernel.bandwith"),
     ("train", {"dynamics": {"kernel": {"kind": "log", "bandwith": 2.0}}},
      "unknown config key: dynamics.kernel.bandwith"),
+    ("simulate", {"attention": {"theta": [[1, "a"]]}}, "attention.theta: expected a number, got str"),
+    ("simulate", {"attention": {"theta": [[1, 0], [0]]}}, "attention.theta: expected a matrix"),
+    ("train", {"dynamics": {"attention": {"theta": [[1, 0], [0]]}}},
+     "dynamics.attention.theta: expected a matrix"),
 ])
 def test_malformed_config_exits_one_naming_the_key(dataset_dir, tmp_path, capsys,
                                                    command, config, named):

@@ -1,5 +1,7 @@
 """Round-trips for every file format the engine reads or writes."""
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +44,29 @@ def test_edge_list_malformed_line(tmp_path):
     path.write_text("0 1 2 3\n")
     with pytest.raises(ValueError, match="expected"):
         gio.read_edge_list(path, n=2)
+
+
+def test_edge_list_malformed_header(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("0 1\n# nodes: ten\n")
+    with pytest.raises(ValueError, match=r"graph.txt:2: expected '# nodes: N'"):
+        gio.read_edge_list(path)
+
+
+def test_integer_parsed_via_a_float_is_an_error(tmp_path, monkeypatch):
+    # numpy releases that accept "1.5" in an integer field truncate it and
+    # only warn; the readers turn that warning into an error naming the file
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    gio.write_dataset(csbm_generate(CsbmConfig(n=6, p_intra=1.0, p_inter=0.0), seed=0), tmp_path)
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    with pytest.raises(ValueError, match="graph.txt: loadtxt.*integer via a float"):
+        gio.read_dataset(tmp_path)
 
 
 def test_dataset_bundle_roundtrip(tmp_path):
@@ -120,3 +145,25 @@ def test_csv_seventeen_digits_roundtrip(tmp_path):
     gio.write_trajectory_csv(traj, tmp_path / "t.csv")
     again = gio.read_trajectory_csv(tmp_path / "t.csv")
     assert again.states[0, 0, 0] == value
+
+
+def test_trajectory_writer_streams_one_record_at_a_time(tmp_path):
+    # 63 records of 2000 nodes make a file of about 6 MB; building it as one
+    # string would trace several times the bound
+    rng = np.random.default_rng(5)
+    traj = Trajectory(np.linspace(0.0, 40.0, 63), rng.normal(size=(63, 2000, 2)), 62)
+    tracemalloc.start()
+    try:
+        gio.write_trajectory_csv(traj, tmp_path / "t.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "t.csv").stat().st_size > 5 * 2**20
+    assert peak < 2 * 2**20
+
+
+def test_csv_rows_end_in_crlf_and_edge_list_lines_in_lf(tmp_path):
+    ds = csbm_generate(CsbmConfig(n=4, p_intra=1.0, p_inter=0.0), seed=0)
+    gio.write_dataset(ds, tmp_path)
+    assert (tmp_path / "labels.csv").read_bytes().startswith(b"node,label\r\n0,0\r\n")
+    assert (tmp_path / "graph.txt").read_bytes() == b"# nodes: 4\n0 1 1\n2 3 1\n"
