@@ -184,6 +184,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_energy(args) -> int:
     started = time.time()
+    if args.eps is not None and not 0 < args.eps < np.inf:
+        raise ValueError(f"--eps must be a finite number > 0, got {args.eps}")
+    for flag, x in (("--energy-floor", args.energy_floor), ("--spread-floor", args.spread_floor)):
+        if not 0 <= x < np.inf:
+            raise ValueError(f"{flag} must be a finite number >= 0, got {x}")
     if args.trajectory:
         given = [flag for dest, flag in args.sim_flags.items() if getattr(args, dest) is not None]
         if given:

@@ -93,7 +93,7 @@ def cluster_count(X: np.ndarray, eps: float) -> int:
     minus the minimum-spanning-tree links no longer than eps (Gower & Ross
     1969); Prim's algorithm grows the tree one distance row at a time.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be > 0")
     Y = _finite(X).copy()  # rows [0, m) are outside the tree; row m joined it last
     link = np.full(len(Y), np.inf)  # squared distance from each outside row to the tree

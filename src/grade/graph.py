@@ -46,10 +46,6 @@ class Graph:
     def num_edges(self) -> int:
         return int(self.edge_u.size)
 
-    def neighbors(self, u: int) -> np.ndarray:
-        """Neighbor ids of ``u`` in ascending order."""
-        return self.arc_dst[self.arc_offsets[u]:self.arc_offsets[u + 1]]
-
     @cached_property
     def weighted_degree(self) -> np.ndarray:
         wd = np.bincount(self.arc_src, weights=self.arc_weight, minlength=self.n)
@@ -145,8 +141,10 @@ class CsbmConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.feat_dim < 1:
             raise ValueError("feat_dim must be >= 1")
-        if self.noise_std < 0.0:
+        if not self.noise_std >= 0.0:
             raise ValueError("noise_std must be >= 0")
+        if not np.isfinite(self.class_mean_separation):
+            raise ValueError("class_mean_separation must be finite")
 
 
 def _build_graph(n: int, eu: np.ndarray, ev: np.ndarray, w: np.ndarray) -> Graph:
@@ -179,21 +177,24 @@ def _as_array(values, dtype) -> np.ndarray:
 def from_edge_list(n, edges, weights=None) -> Graph:
     """Build a Graph from undirected pairs, collapsing (u,v)/(v,u) duplicates.
 
-    Duplicate pairs must agree on weight; self-loops, out-of-range endpoints
-    and negative weights are rejected. The error names the first offending
-    pair in input order; a duplicate is compared with the first occurrence
-    of its pair, whose weight is kept.
+    Duplicate pairs must agree on weight; self-loops, non-integral or
+    out-of-range endpoints and negative weights are rejected. The error
+    names the first offending pair in input order; a duplicate is compared
+    with the first occurrence of its pair, whose weight is kept.
     """
     if n < 0:
         raise ValueError("node count must be >= 0")
+    raw = _as_array(edges, None)
+    if raw.size == 0:
+        raw = raw.reshape(0, 2)
+    if raw.ndim != 2 or raw.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
     try:
-        pairs = _as_array(edges, np.int64)
+        with np.errstate(invalid="ignore"):  # a non-finite endpoint is a fault below
+            pairs = raw.astype(np.int64, copy=False)
     except OverflowError:
         raise ValueError("edge endpoint out of range: too large for a node id") from None
-    if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("edges must be (u, v) pairs")
+    fractional = (pairs != raw).any(axis=1) if raw.dtype.kind == "f" else np.zeros(len(raw), bool)
     m = pairs.shape[0]
     w = np.ones(m) if weights is None else _as_array(weights, np.float64)
     if w.shape != (m,):
@@ -209,6 +210,7 @@ def from_edge_list(n, edges, weights=None) -> Graph:
     first_of[order] = first[np.cumsum(starts) - 1]
 
     faults = (
+        (fractional, "edge endpoint is not an integer node id: ({x}, {y})"),
         ((lo < 0) | (hi >= n), "edge endpoint out of range: ({u}, {v})"),
         (u == v, "self-loop at node {u}"),
         (w < 0, "negative weight on edge ({u}, {v})"),
@@ -219,7 +221,8 @@ def from_edge_list(n, edges, weights=None) -> Graph:
     if bad.any():
         i = int(np.argmax(bad))
         message = next(text for mask, text in faults if mask[i])
-        raise ValueError(message.format(u=u[i], v=v[i], lo=lo[i], hi=hi[i]))
+        raise ValueError(message.format(u=u[i], v=v[i], lo=lo[i], hi=hi[i],
+                                        x=float(raw[i, 0]), y=float(raw[i, 1])))
     return _build_graph(n, lo[first], hi[first], w[first])
 
 

@@ -41,7 +41,7 @@ class ProjectionParams:
             raise ValueError("theta must be a 2-d matrix")
         object.__setattr__(self, "theta", theta)
         scale = float(self.scale) if self.scale else float(theta.shape[0])
-        if scale <= 0:
+        if not scale > 0:
             raise ValueError("scale must be > 0")
         object.__setattr__(self, "scale", scale)
 
@@ -70,11 +70,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError("delta must be >= 0")
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ValueError("bandwidth must be > 0")
-        if self.singularity_floor <= 0:
+        if not self.singularity_floor > 0:
             raise ValueError("singularity_floor must be > 0")
 
     def to_json(self) -> dict:

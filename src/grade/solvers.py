@@ -3,8 +3,9 @@
 Fixed-step Euler and classical RK4 plus an adaptive Dormand-Prince 5(4)
 scheme with a PI step controller. Step functions are duck-typed over the
 state (any object supporting ``+`` and scalar ``*``), so the training
-unroll can reuse them with gradient-carrying tensors; ``integrate`` works
-on plain arrays and records a :class:`Trajectory`.
+unroll can reuse them with gradient-carrying tensors. Both step generators
+(:func:`fixed_steps` and dopri5's) yield accepted ``(t, X)`` steps, and
+:func:`record_trajectory` alone turns such a stream into a :class:`Trajectory`.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ __all__ = [
     "integrate",
     "fixed_step_sizes",
     "fixed_steps",
+    "record_trajectory",
 ]
 
 FIXED_STEP_METHODS = ("euler", "rk4")
@@ -83,8 +85,8 @@ class SolverConfig:
             if self.horizon / self.step > self.max_steps:
                 raise ValueError("horizon/step exceeds max_steps")
         else:
-            if self.rel_tol < 1e-12 or self.abs_tol < 1e-12:
-                raise ValueError("tolerances must be >= 1e-12")
+            if not (self.rel_tol >= 1e-12 and self.abs_tol >= 1e-12):
+                raise ValueError("rel_tol and abs_tol must be >= 1e-12")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.record_every < 1:
@@ -167,9 +169,10 @@ def fixed_steps(f, X, cfg: SolverConfig):
         yield t, X
 
 
-def _check_finite(X: np.ndarray, t: float) -> None:
+def _check_finite(X: np.ndarray, t: float) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise NumericalError(f"state became non-finite at t={t:.6g}")
+    return X
 
 
 def _error_ratio(err: np.ndarray, X0: np.ndarray, X1: np.ndarray, cfg: SolverConfig) -> float:
@@ -192,29 +195,16 @@ def _initial_step(f, X0, f0, cfg: SolverConfig) -> float:
     return min(100.0 * h0, h1, cfg.horizon)
 
 
-def _integrate_fixed(f, X0, cfg: SolverConfig):
-    times = [0.0]
-    states = [X0.copy()]
-    for k, (t, X) in enumerate(fixed_steps(f, X0, cfg), start=1):
-        _check_finite(X, t)
-        if k % cfg.record_every == 0:
-            times.append(t)
-            states.append(X.copy())
-    if times[-1] != t:
-        times.append(t)
-        states.append(X.copy())
-    return times, states, k, None
-
-
-def _integrate_dopri5(f, X0, cfg: SolverConfig):
-    t, X = 0.0, X0.copy()
+def _dopri5_steps(f, X, cfg: SolverConfig, ratios: list):
+    """:func:`fixed_steps` with adaptive Dormand-Prince steps. Checks every attempt for a
+    non-finite state and appends each accepted step's error ratio to ``ratios``."""
+    if cfg.horizon == 0:
+        return
+    t = 0.0
     k = [f(X, t)] + [None] * 6
     h = _initial_step(f, X, k[0], cfg)
-    times, states = [0.0], [X0.copy()]
-    accepted = 0
     attempts = 0
     err_prev = 1.0
-    max_ratio = 0.0
     while t < cfg.horizon:
         h = min(h, cfg.horizon - t)
         attempts += 1
@@ -237,11 +227,8 @@ def _integrate_dopri5(f, X0, cfg: SolverConfig):
         if ratio <= 1.0:
             t = cfg.horizon if cfg.horizon - (t + h) <= 1e-14 * cfg.horizon else t + h
             X, k[0] = X_new, k[6]
-            accepted += 1
-            max_ratio = max(max_ratio, ratio)
-            if accepted % cfg.record_every == 0 and t < cfg.horizon:
-                times.append(t)
-                states.append(X.copy())
+            ratios.append(ratio)
+            yield t, X
             factor = _SAFETY * max(ratio, 1e-10) ** (-_PI_ALPHA) * max(err_prev, 1e-10) ** (_PI_BETA)
             err_prev = max(ratio, 1e-10)
         else:
@@ -249,9 +236,23 @@ def _integrate_dopri5(f, X0, cfg: SolverConfig):
         h *= min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
         if h <= 1e-14:
             raise NumericalError(f"step size underflow at t={t:.6g}")
-    times.append(cfg.horizon)
-    states.append(X.copy())
-    return times, states, accepted, max_ratio
+
+
+def record_trajectory(X0, steps, record_every: int, ratios=()) -> Trajectory:
+    """``X0`` at t=0, every ``record_every``-th of the ``(t, X)`` steps, and the last.
+
+    The one place that decides which states a trajectory keeps; the largest
+    of the ``ratios`` the steps report is ``max_error_ratio`` (None if none).
+    """
+    kept, count = [(0.0, X0)], 0
+    for count, step in enumerate(steps, start=1):
+        if count % record_every == 0:
+            kept.append(step)
+    if count % record_every:
+        kept.append(step)
+    times, states = zip(*kept)
+    return Trajectory(np.asarray(times), np.asarray(states), count,
+                      max_error_ratio=max(ratios, default=None))
 
 
 def integrate(f, X0: np.ndarray, cfg: SolverConfig) -> Trajectory:
@@ -266,13 +267,9 @@ def integrate(f, X0: np.ndarray, cfg: SolverConfig) -> Trajectory:
     X0 = np.asarray(X0, dtype=np.float64)
     if not np.all(np.isfinite(X0)):
         raise ValueError("initial state must be finite")
-    if cfg.horizon == 0:
-        return Trajectory(np.zeros(1), np.asarray([X0.copy()]), 0)
-
+    ratios: list[float] = []
     if cfg.method in FIXED_STEP_METHODS:
-        times, states, steps, max_ratio = _integrate_fixed(f, X0, cfg)
+        steps = ((t, _check_finite(X, t)) for t, X in fixed_steps(f, X0, cfg))
     else:
-        times, states, steps, max_ratio = _integrate_dopri5(f, X0, cfg)
-    return Trajectory(
-        np.asarray(times), np.asarray(states), steps, max_error_ratio=max_ratio
-    )
+        steps = _dopri5_steps(f, X0, cfg, ratios)
+    return record_trajectory(X0, steps, cfg.record_every, ratios)

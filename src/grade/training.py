@@ -17,7 +17,8 @@ from .codec import from_fields, to_fields
 from .dynamics import DynamicsConfig, rhs_ops
 from .graph import Dataset, from_edge_list
 from .kernels import KernelSpec, ProjectionParams
-from .solvers import FIXED_STEP_METHODS, NumericalError, SolverConfig, Trajectory, fixed_steps
+from .solvers import (FIXED_STEP_METHODS, NumericalError, SolverConfig, fixed_steps,
+                      record_trajectory)
 
 __all__ = [
     "ModelParams",
@@ -76,7 +77,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.solver.method not in FIXED_STEP_METHODS:
             raise ValueError("training requires a fixed-step solver (euler or rk4)")
-        if self.learning_rate < 0 or self.weight_decay < 0:
+        if not (self.learning_rate >= 0 and self.weight_decay >= 0):
             raise ValueError("learning_rate and weight_decay must be >= 0")
         if self.epochs < 1 or self.hidden < 1:
             raise ValueError("epochs and hidden must be >= 1")
@@ -160,22 +161,12 @@ def _param_leaves(p: ModelParams, requires_grad: bool) -> dict[str, ad.Tensor]:
     return leaves
 
 
-def _record_trajectory(step_states, step_times, solver: SolverConfig) -> Trajectory:
-    """Every ``record_every``-th step state plus the last, as :func:`integrate` records."""
-    last = len(step_states) - 1
-    keep = [0, *range(solver.record_every, last, solver.record_every), last] if last else [0]
-    return Trajectory(
-        np.asarray([step_times[k] for k in keep]),
-        np.asarray([step_states[k].data for k in keep]),
-        last,
-    )
-
-
 def forward(p: ModelParams, ds: Dataset, cfg: TrainConfig):
     """Run the classifier; returns (logits, trajectory of the dynamics)."""
     leaves = _param_leaves(p, requires_grad=False)
     logits, step_states, step_times = _unroll(ds, cfg, leaves)
-    return logits.data, _record_trajectory(step_states, step_times, cfg.solver)
+    steps = zip(step_times[1:], (X.data for X in step_states[1:]))
+    return logits.data, record_trajectory(step_states[0].data, steps, cfg.solver.record_every)
 
 
 def _loss_tensor(logits: ad.Tensor, labels: np.ndarray, mask: np.ndarray) -> ad.Tensor:
@@ -232,7 +223,7 @@ def loss_and_grad(p: ModelParams, ds: Dataset, cfg: TrainConfig, *, with_logits:
 
 def finite_difference_grad(p: ModelParams, ds: Dataset, cfg: TrainConfig, h: float) -> ModelParams:
     """Central finite differences of the training loss per scalar parameter."""
-    if h <= 0:
+    if not h > 0:
         raise ValueError("h must be > 0")
 
     def loss_at(params: ModelParams) -> float:
@@ -358,6 +349,8 @@ def gradient_check(seed: int, instances: int = 20, h: float = 1e-5):
 
     Returns (overall max relative error, per-instance errors).
     """
+    if not h > 0:  # a NaN h would never draw a clamp-safe instance
+        raise ValueError("h must be > 0")
     errors = []
     for i in range(instances):
         ds, params, cfg = _random_instance(seed + i, h)

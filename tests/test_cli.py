@@ -350,10 +350,42 @@ def _with_config(tmp_path, command, dataset_dir, config, *flags):
     ("simulate", {"attention": {"theta": [[1, 0], [0]]}}, "attention.theta: expected a matrix"),
     ("train", {"dynamics": {"attention": {"theta": [[1, 0], [0]]}}},
      "dynamics.attention.theta: expected a matrix"),
+    # NaN fails every `x <= 0` check, so each range check is written `not x > 0`
+    ("simulate", '{"kernel": {"kind": "power", "delta": NaN}}', "delta must be >= 0"),
+    ("simulate", '{"kernel": {"kind": "gaussian", "bandwidth": NaN}}', "bandwidth must be > 0"),
+    ("simulate", '{"kernel": {"kind": "log", "singularity_floor": NaN}}',
+     "singularity_floor must be > 0"),
+    ("simulate", '{"method": "dopri5", "rel_tol": NaN}', "rel_tol and abs_tol must be >= 1e-12"),
+    ("simulate", '{"method": "dopri5", "abs_tol": NaN}', "rel_tol and abs_tol must be >= 1e-12"),
+    ("simulate", '{"attention": {"theta": [[1, 0], [0, 1]], "scale": NaN}}', "scale must be > 0"),
+    ("train", '{"learning_rate": NaN, "epochs": 2}', "learning_rate and weight_decay must be >= 0"),
+    ("train", '{"weight_decay": NaN, "epochs": 2}', "learning_rate and weight_decay must be >= 0"),
 ])
 def test_malformed_config_exits_one_naming_the_key(dataset_dir, tmp_path, capsys,
                                                    command, config, named):
     assert _with_config(tmp_path, command, dataset_dir, config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("generate", ["--separation", "nan"], "class_mean_separation must be finite"),
+    ("generate", ["--noise-std", "nan"], "noise_std must be >= 0"),
+    ("simulate", ["--method", "dopri5", "--rel-tol", "nan"], "rel_tol and abs_tol must be"),
+    ("simulate", ["--method", "dopri5", "--abs-tol", "nan"], "rel_tol and abs_tol must be"),
+    ("train", ["--epochs", "2", "--lr", "nan"], "learning_rate and weight_decay must be"),
+    ("train", ["--epochs", "2", "--weight-decay", "nan"], "learning_rate and weight_decay must be"),
+    ("energy", ["--eps", "nan"], "--eps must be a finite number > 0"),
+    ("energy", ["--energy-floor", "nan"], "--energy-floor must be a finite number >= 0"),
+    ("energy", ["--energy-floor", "inf"], "--energy-floor must be a finite number >= 0"),
+    ("energy", ["--spread-floor", "nan"], "--spread-floor must be a finite number >= 0"),
+    ("grad-check", ["--instances", "1", "--h", "nan"], "h must be > 0"),
+])
+def test_non_finite_flag_exits_one_naming_it(dataset_dir, tmp_path, capsys,
+                                              command, flags, named):
+    where = {"generate": ["--out", str(tmp_path / "out")], "grad-check": []}.get(
+        command, ["--dataset", str(dataset_dir), "--out", str(tmp_path / "out")])
+    assert dispatch([command, *flags, *where]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
 

@@ -35,6 +35,30 @@ def test_out_of_range_rejected():
         from_edge_list(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("edges, named", [
+    ([(0.7, 1.2), (1.9, 2.5)], "(0.7, 1.2)"),
+    ([(0, 1), (1, float("nan"))], "(1.0, nan)"),
+    ([(0, 1), (float("inf"), 2)], "(inf, 2.0)"),
+])
+def test_non_integral_endpoint_rejected(edges, named):
+    # int() used to truncate these to the edges (0, 1) and (1, 2)
+    with pytest.raises(ValueError, match="not an integer") as info:
+        from_edge_list(3, edges)
+    assert named in str(info.value)
+
+
+def test_first_offending_pair_is_named_whatever_its_fault():
+    with pytest.raises(ValueError, match=r"out of range: \(0, 5\)"):
+        from_edge_list(3, [(0, 5), (0.5, 1)])
+    with pytest.raises(ValueError, match=r"not an integer node id: \(0.5, 1.0\)"):
+        from_edge_list(3, [(0.5, 1), (0, 5)])
+
+
+def test_integral_float_endpoints_accepted():
+    g = from_edge_list(3, [(0.0, 1.0), (2.0, 1.0)])
+    assert list(g.edge_u) == [0, 1] and list(g.edge_v) == [1, 2]
+
+
 def test_negative_weight_rejected():
     with pytest.raises(ValueError, match="negative weight"):
         from_edge_list(2, [(0, 1)], weights=[-1.0])

@@ -14,6 +14,7 @@ from grade import (
     rhs,
     rk4_step,
 )
+from grade import solvers
 from grade.solvers import fixed_step_sizes
 
 
@@ -212,3 +213,60 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1, 1)), 1)
     with pytest.raises(ValueError, match="align"):
         Trajectory(np.array([0.0]), np.zeros((2, 1, 1)), 1)
+
+
+# The benchmark counts step attempts by wrapping solvers._check_finite
+# (bench/spans.py): once per fixed step, once per dopri5 attempt, never in train.
+
+
+def _count_checks(monkeypatch):
+    calls = []
+    check = solvers._check_finite
+    monkeypatch.setattr(solvers, "_check_finite", lambda X, t: calls.append(t) or check(X, t))
+    return calls
+
+
+def test_dopri5_checks_every_attempt_once(monkeypatch):
+    # the field flips sign at t=0.5, so the controller rejects steps there
+    rhs_calls = []
+
+    def f(X, t):
+        rhs_calls.append(t)
+        return np.where(t > 0.5, -X, X)
+
+    checks = _count_checks(monkeypatch)
+    traj = integrate(f, np.ones((1, 1)), SolverConfig("dopri5", horizon=1.0))
+    attempts = (len(rhs_calls) - 2) // 6  # two start-up calls, six stages per attempt
+    assert attempts > traj.step_count  # some steps were rejected
+    assert len(checks) == attempts
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_fixed_steps_check_each_step_once(monkeypatch, method):
+    checks = _count_checks(monkeypatch)
+    traj = integrate(lambda X, t: -X, np.ones((2, 1)), SolverConfig(method, step=0.3, horizon=1.0))
+    assert traj.step_count == 4
+    assert checks == list(traj.times[1:])
+
+
+def test_dopri5_zero_horizon_makes_no_rhs_call():
+    calls = []
+    X0 = np.array([[1.0, 2.0]])
+    traj = integrate(lambda X, t: calls.append(t) or -X, X0, SolverConfig("dopri5", horizon=0.0))
+    assert calls == []
+    assert traj.step_count == 0 and traj.max_error_ratio is None
+    np.testing.assert_array_equal(traj.times, [0.0])
+    np.testing.assert_array_equal(traj.states, [X0])
+
+
+def test_dopri5_record_every_keeps_start_every_third_step_and_end():
+    X0 = np.array([[1.0], [-2.0]])
+    every = integrate(lambda X, t: -X * t, X0, SolverConfig("dopri5", horizon=3.0))
+    third = integrate(lambda X, t: -X * t, X0, SolverConfig("dopri5", horizon=3.0, record_every=3))
+    last = every.step_count
+    assert last % 3 != 0  # so the final state is kept on its own
+    keep = [0, *range(3, last, 3), last]
+    np.testing.assert_array_equal(third.times, every.times[keep])
+    np.testing.assert_array_equal(third.states, every.states[keep])
+    assert third.step_count == last
+    assert third.max_error_ratio == every.max_error_ratio

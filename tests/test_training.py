@@ -333,6 +333,20 @@ def test_train_zero_learning_rate_is_inert():
     assert all(l == losses[0] for l in losses)
 
 
+def test_train_never_calls_the_solver_step_check(monkeypatch):
+    # the benchmark counts solver step attempts through solvers._check_finite;
+    # the training unroll checks its own states, so dense-train counts none
+    from grade import solvers
+
+    calls = []
+    monkeypatch.setattr(solvers, "_check_finite", lambda X, t: calls.append(t) or X)
+    ds = csbm_generate(CsbmConfig(n=20, p_intra=0.9, p_inter=0.1), seed=0)
+    cfg = TrainConfig(solver=SolverConfig("euler", step=0.5, horizon=2.0), epochs=2)
+    train(ds, cfg)
+    forward(init_params(ds, cfg), ds, cfg)
+    assert calls == []
+
+
 def test_train_deterministic_given_seed():
     ds = csbm_generate(CsbmConfig(n=20, p_intra=0.9, p_inter=0.1), seed=1)
     cfg = TrainConfig(
