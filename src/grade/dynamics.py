@@ -16,9 +16,9 @@ evaluation when they depend on the state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import autodiff as ad
 from .codec import from_fields, scalar, to_fields
@@ -31,6 +31,9 @@ from .kernels import (
     attention_projection,
     kernel_weights,
 )
+
+if TYPE_CHECKING:  # scipy is imported only where a CSR matrix is built
+    import scipy.sparse as sp
 
 __all__ = [
     "ActivationSpec",
@@ -105,6 +108,8 @@ def attention_adjacency(X: np.ndarray, p: ProjectionParams, g: Graph) -> sp.csr_
     Entry (u, v) for v in N(u) is the softmax over N(u) of the projected
     dot-product score; rows sum to one.
     """
+    import scipy.sparse as sp
+
     X = np.asarray(X, dtype=np.float64)
     vals = attention_arc_values(X, *attention_projection(p), g).data.reshape(-1)
     return sp.csr_array((vals, g.arc_dst, g.arc_offsets), shape=(g.n, g.n))

@@ -8,9 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:  # scipy is imported only where a CSR matrix is built
+    import scipy.sparse as sp
 
 __all__ = [
     "Graph",
@@ -61,6 +64,8 @@ class Graph:
 
     @cached_property
     def _arc_csr(self) -> sp.csr_array:
+        import scipy.sparse as sp
+
         return sp.csr_array(
             (np.zeros(self.arc_dst.size), self.arc_dst, self.arc_offsets), shape=(self.n, self.n)
         )
@@ -141,8 +146,8 @@ class CsbmConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.feat_dim < 1:
             raise ValueError("feat_dim must be >= 1")
-        if not self.noise_std >= 0.0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be >= 0 and finite")
         if not np.isfinite(self.class_mean_separation):
             raise ValueError("class_mean_separation must be finite")
 
@@ -231,6 +236,8 @@ def row_normalized_adjacency(g: Graph) -> sp.csr_array:
 
     Rejects graphs with isolated nodes (their row would be empty).
     """
+    import scipy.sparse as sp
+
     coeff = g.static_arc_coeff
     return sp.csr_array(
         (coeff, g.arc_dst, g.arc_offsets), shape=(g.n, g.n)
@@ -243,6 +250,36 @@ def min_degree_node(g: Graph) -> tuple[int, int]:
         raise ValueError("empty graph")
     u = int(np.argmin(g.degree))
     return u, int(g.degree[u])
+
+
+PAIR_BLOCK = 1 << 20  # uniforms drawn per block while sampling pairs
+
+
+def _sample_pairs(rng, n: int, p_intra: float, p_inter: float):
+    """Edges (u < v) of the two-block graph on n nodes, in row-major pair order.
+
+    Pair k of the n(n-1)/2 pairs (u, v), u < v, in row-major order gets the
+    k-th uniform of ``rng``, drawn in blocks of PAIR_BLOCK, and is an edge
+    when that uniform is below its probability: p_intra when u and v lie in
+    the same half of the nodes, else p_inter. A block keeps only the
+    uniforms below the larger probability, so memory is O(block + edges).
+    """
+    half, pairs = n // 2, n * (n - 1) // 2
+    starts = np.arange(n - 1, dtype=np.int64)
+    starts = starts * n - starts * (starts + 1) // 2  # flat index of pair (u, u + 1)
+    p_max = max(p_intra, p_inter)
+    eu, ev = [], []
+    for first in range(0, pairs, PAIR_BLOCK):
+        draws = rng.random(min(PAIR_BLOCK, pairs - first))
+        k = np.flatnonzero(draws < p_max)
+        draws = draws[k]
+        k += first
+        u = np.searchsorted(starts, k, side="right") - 1
+        v = k - starts[u] + u + 1
+        keep = draws < np.where((u < half) == (v < half), p_intra, p_inter)
+        eu.append(u[keep])
+        ev.append(v[keep])
+    return np.concatenate(eu, dtype=np.int64), np.concatenate(ev, dtype=np.int64)
 
 
 def csbm_generate(cfg: CsbmConfig, seed: int) -> Dataset:
@@ -258,16 +295,8 @@ def csbm_generate(cfg: CsbmConfig, seed: int) -> Dataset:
     half = n // 2
     labels = np.repeat(np.arange(2), half)
 
-    iu, ju = np.triu_indices(n, k=1)
-    same = labels[iu] == labels[ju]
-    prob = np.where(same, cfg.p_intra, cfg.p_inter)
-    keep = rng.random(iu.size) < prob
-    graph = _build_graph(
-        n,
-        iu[keep].astype(np.int64),
-        ju[keep].astype(np.int64),
-        np.ones(int(keep.sum())),
-    )
+    eu, ev = _sample_pairs(rng, n, cfg.p_intra, cfg.p_inter)
+    graph = _build_graph(n, eu, ev, np.ones(eu.size))
 
     means = np.where(labels[:, None] == 0, -0.5, 0.5) * cfg.class_mean_separation
     features = means * np.ones((1, d)) + rng.normal(0.0, cfg.noise_std, size=(n, d))

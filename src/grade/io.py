@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import warnings
+from contextlib import closing
 from itertools import chain
 from pathlib import Path
 
@@ -88,20 +90,44 @@ def _load_table(path, lead: list[tuple[str, str]], values: str) -> np.ndarray:
         if not line:
             return np.zeros(0, dtype)
         fh.seek(start)
-        return _loadtxt(path, fh, dtype, delimiter=",")
+        return _loadtxt(path, fh, lambda: _csv_rows(path), dtype, delimiter=",")
 
 
-def _loadtxt(path, lines, dtype, **kwargs) -> np.ndarray:
-    """``np.loadtxt`` of ``lines`` with no comment syntax; a malformed field,
-    such as a non-integral number in an integer field, raises a ValueError
-    that names ``path``."""
+def _csv_rows(path):
+    """(line number, text) of each line under the header that numpy reads as a row."""
+    with open(path) as fh:
+        yield from ((lineno, line) for lineno, line in enumerate(fh, start=1)
+                    if lineno > 1 and line != "\n")
+
+
+_AT_ROW = re.compile(r" at row \d+(?=, column)| at row \d+;.*")  # numpy's row, not the file's line
+
+
+def _loadtxt(path, lines, numbered, dtype, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` of ``lines`` with no comment syntax.
+
+    A malformed field, such as a non-integral number in an integer field,
+    raises a ValueError naming ``path`` and the line: the first line of
+    ``numbered()`` (the same lines, as (line number, text) pairs) that fails
+    to parse alone. Every dtype here fixes the column count, so a line parses
+    alone as it does in the file.
+    """
+    def parse(rows):
+        return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1, **kwargs)
+
     with warnings.catch_warnings():
         # numpy releases that still accept "1.5" in an integer field truncate it with this warning
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         try:
-            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1, **kwargs)
+            return parse(lines)
         except (ValueError, DeprecationWarning) as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            fault = exc
+        for lineno, line in numbered():
+            try:
+                parse([line])
+            except (ValueError, DeprecationWarning) as exc:
+                raise ValueError(f"{path}:{lineno}: {_AT_ROW.sub('', str(exc))}") from None
+    raise ValueError(f"{path}: {fault}") from None
 
 
 def _node_order(node: np.ndarray, record: np.ndarray, n: int, where) -> np.ndarray:
@@ -155,31 +181,32 @@ def read_edge_list(path, n: int | None = None) -> Graph:
     """
     header_n, fault = None, None
 
-    def edge_lines(fh):
-        """The edge lines of ``fh``, each with three fields; reads the header on
-        the way and stops at the first line that is neither."""
+    def edge_lines():
+        """(line number, text) of each edge line, with three fields; reads the
+        header on the way and stops at the first line that is neither."""
         nonlocal header_n, fault
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if parts and parts[0].startswith("#"):
-                line = raw.strip()
-                if "nodes:" in line:
-                    try:
-                        header_n = int(line.split("nodes:")[1].strip())
-                    except ValueError:
-                        fault = f"{path}:{lineno}: expected '# nodes: N'"
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                parts = raw.split()
+                if parts and parts[0].startswith("#"):
+                    line = raw.strip()
+                    if "nodes:" in line:
+                        try:
+                            header_n = int(line.split("nodes:")[1].strip())
+                        except ValueError:
+                            fault = f"{path}:{lineno}: expected '# nodes: N'"
+                            return
+                elif parts:
+                    if len(parts) not in (2, 3):
+                        fault = f"{path}:{lineno}: expected 'u v [weight]'"
                         return
-            elif parts:
-                if len(parts) not in (2, 3):
-                    fault = f"{path}:{lineno}: expected 'u v [weight]'"
-                    return
-                yield raw if len(parts) == 3 else raw.rstrip("\n") + " 1"
+                    yield lineno, raw if len(parts) == 3 else raw.rstrip("\n") + " 1"
 
-    with open(path) as fh:
-        lines = edge_lines(fh)
+    with closing(edge_lines()) as lines:
         first = next(lines, None)
         # a fault in a line before the one that stopped the lines is reported first
-        edges = np.zeros(0, _EDGE) if first is None else _loadtxt(path, chain([first], lines), _EDGE)
+        edges = np.zeros(0, _EDGE) if first is None else _loadtxt(
+            path, (text for _, text in chain([first], lines)), edge_lines, _EDGE)
     if fault:
         raise ValueError(fault)
     if n is None:
@@ -225,6 +252,9 @@ def read_dataset(in_dir) -> Dataset:
     n = graph.n
 
     features = _read_table(src / "features.csv", n, "f8")
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        raise ValueError(f"{src / 'features.csv'}: node {bad[0][0]} has a non-finite feature")
     labels = _read_table(src / "labels.csv", n, "i8", 1)[:, 0]
     masks = _read_table(src / "masks.csv", n, "i8", 3).astype(bool)
     return Dataset(graph, features, labels, *masks.T)

@@ -77,11 +77,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.horizon >= 0:
-            raise ValueError("horizon must be >= 0")
+        if not 0 <= self.horizon < math.inf:
+            raise ValueError("horizon must be >= 0 and finite")
+        if not 0 < self.step < math.inf:  # dopri5 does not read it, but the manifest records it
+            raise ValueError("step must be > 0 and finite")
         if self.method in FIXED_STEP_METHODS:
-            if not self.step > 0:
-                raise ValueError("step must be > 0")
             if self.horizon / self.step > self.max_steps:
                 raise ValueError("horizon/step exceeds max_steps")
         else:

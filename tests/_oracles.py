@@ -238,6 +238,8 @@ def feature_diameter(X: np.ndarray) -> float:
 # kept as written: the new code must write the same bytes, parse the same
 # bits and raise the same first error. ref_from_edge_list hands its checked,
 # deduplicated edges to grade's own _build_graph, which the rewrite left alone.
+# Since then the readers name the line of a malformed edge-list field and
+# reject a non-finite feature, and these oracles do too.
 
 
 def ref_fmt(x: float) -> str:
@@ -319,8 +321,11 @@ def ref_read_edge_list(path, n: int | None = None) -> Graph:
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise ValueError(f"{path}:{lineno}: expected 'u v [weight]'")
-            edges.append((int(parts[0]), int(parts[1])))
-            weights.append(float(parts[2]) if len(parts) == 3 else 1.0)
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+                weights.append(float(parts[2]) if len(parts) == 3 else 1.0)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if n is None:
         n = header_n if header_n is not None else (
             max((max(u, v) for u, v in edges), default=-1) + 1
@@ -375,6 +380,9 @@ def ref_read_dataset(in_dir) -> Dataset:
     n = graph.n
 
     features = np.array([[float(x) for x in row] for row in ref_read_table(src / "features.csv", n)])
+    for node, row in enumerate(features):
+        if not all(math.isfinite(x) for x in row):
+            raise ValueError(f"{src / 'features.csv'}: node {node} has a non-finite feature")
     labels = np.array([int(row[0]) for row in ref_read_table(src / "labels.csv", n)], dtype=np.int64)
     masks = np.array([[bool(int(x)) for x in row[:3]] for row in ref_read_table(src / "masks.csv", n)])
     return Dataset(graph, features, labels, *masks.T)
@@ -420,3 +428,37 @@ def ref_write_energy_csv(path, times, energy, spread, cluster_counts) -> None:
 def ref_write_metrics_csv(path, metrics: list[EpochMetrics]) -> None:
     ref_write_table(path, ["epoch", "loss", "val_acc", "test_acc"],
                     ([m.epoch, ref_fmt(m.loss), ref_fmt(m.val_acc), ref_fmt(m.test_acc)] for m in metrics))
+
+
+# ---------------------------------------------------------- synthetic data
+
+
+def ref_csbm_generate(cfg, seed: int) -> Dataset:
+    """grade.graph.csbm_generate as it was before its blocked pair sampler:
+    one uniform per pair of ``np.triu_indices``, all drawn at once, against
+    an n(n-1)/2 array of pair probabilities."""
+    rng = np.random.default_rng(seed)
+    n, d = cfg.n, cfg.feat_dim
+    half = n // 2
+    labels = np.repeat(np.arange(2), half)
+
+    iu, ju = np.triu_indices(n, k=1)
+    prob = np.where(labels[iu] == labels[ju], cfg.p_intra, cfg.p_inter)
+    keep = rng.random(iu.size) < prob
+    graph = _build_graph(n, iu[keep].astype(np.int64), ju[keep].astype(np.int64),
+                         np.ones(int(keep.sum())))
+
+    means = np.where(labels[:, None] == 0, -0.5, 0.5) * cfg.class_mean_separation
+    features = means * np.ones((1, d)) + rng.normal(0.0, cfg.noise_std, size=(n, d))
+
+    train = np.zeros(n, dtype=bool)
+    val = np.zeros(n, dtype=bool)
+    test = np.zeros(n, dtype=bool)
+    for cls in (0, 1):
+        idx = rng.permutation(np.flatnonzero(labels == cls))
+        n_tr = int(round(0.6 * idx.size))
+        n_val = int(round(0.2 * idx.size))
+        train[idx[:n_tr]] = True
+        val[idx[n_tr:n_tr + n_val]] = True
+        test[idx[n_tr + n_val:]] = True
+    return Dataset(graph, features, labels, train, val, test)

@@ -293,7 +293,8 @@ def test_bundle_malformed_field_exits_one(dataset_dir, tmp_path, capsys, name, c
     assert dispatch(["simulate", "--dataset", str(dataset_dir),
                      "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
-    assert f"{name}: could not convert string '{text}'" in err and "Traceback" not in err
+    # rows[3] is the fifth line of the file, after the header
+    assert f"{name}:5: could not convert string '{text}'" in err and "Traceback" not in err
 
 
 def test_trajectory_missing_node_exits_one(dataset_dir, tmp_path, capsys):
@@ -380,6 +381,12 @@ def test_malformed_config_exits_one_naming_the_key(dataset_dir, tmp_path, capsys
     ("energy", ["--energy-floor", "inf"], "--energy-floor must be a finite number >= 0"),
     ("energy", ["--spread-floor", "nan"], "--spread-floor must be a finite number >= 0"),
     ("grad-check", ["--instances", "1", "--h", "nan"], "h must be > 0"),
+    ("generate", ["--noise-std", "inf"], "noise_std must be >= 0 and finite"),
+    ("simulate", ["--step", "inf"], "step must be > 0 and finite"),
+    ("simulate", ["--horizon", "inf"], "horizon must be >= 0 and finite"),
+    ("simulate", ["--method", "dopri5", "--horizon", "inf"], "horizon must be >= 0 and finite"),
+    ("train", ["--epochs", "2", "--step", "inf"], "step must be > 0 and finite"),
+    ("simulate", ["--method", "dopri5", "--step", "inf"], "step must be > 0 and finite"),
 ])
 def test_non_finite_flag_exits_one_naming_it(dataset_dir, tmp_path, capsys,
                                               command, flags, named):

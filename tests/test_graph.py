@@ -1,6 +1,10 @@
 """Graph construction, normalization, synthetic data, and degree queries."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grade import (
     CsbmConfig,
@@ -9,8 +13,9 @@ from grade import (
     min_degree_node,
     row_normalized_adjacency,
 )
+from grade import graph as graph_module
 
-from _oracles import dense_row_normalized, dense_weight_matrix
+from _oracles import dense_row_normalized, dense_weight_matrix, ref_csbm_generate
 
 
 def test_single_edge():
@@ -217,6 +222,46 @@ def test_csbm_config_validation():
         CsbmConfig(noise_std=-0.1)
     with pytest.raises(ValueError):
         CsbmConfig(classes=3)
+    for noise in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="noise_std must be >= 0 and finite"):
+            CsbmConfig(noise_std=noise)
+
+
+PROBABILITIES = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+
+
+@pytest.mark.parametrize("block", [1, 5, 7, None])
+@settings(max_examples=40, deadline=None)
+@given(half=st.integers(1, 30), p_intra=PROBABILITIES, p_inter=PROBABILITIES,
+       seed=st.integers(0, 2**32 - 1))
+def test_csbm_generate_matches_the_triu_sampler(block, half, p_intra, p_inter, seed):
+    # a small block puts block boundaries mid-row, and for some n at a row's end
+    cfg = CsbmConfig(n=2 * half, p_intra=p_intra, p_inter=p_inter, feat_dim=3)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(graph_module, "PAIR_BLOCK", block)
+        got = csbm_generate(cfg, seed)
+    ref = ref_csbm_generate(cfg, seed)
+    np.testing.assert_array_equal(got.graph.edge_u, ref.graph.edge_u)
+    np.testing.assert_array_equal(got.graph.edge_v, ref.graph.edge_v)
+    np.testing.assert_array_equal(got.graph.arc_offsets, ref.graph.arc_offsets)
+    # the features and masks come after the pairs in the random stream
+    assert np.array_equal(got.features.view(np.uint64), ref.features.view(np.uint64))
+    for field in ("labels", "train_mask", "val_mask", "test_mask"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
+
+
+def test_csbm_generate_memory_grows_with_edges_not_pairs():
+    # about 2 million pairs and 11000 edges: one uniform per pair at once
+    # (the triu sampler) traced about 65 MB here
+    cfg = CsbmConfig(n=2000, p_intra=0.01, p_inter=0.001)
+    tracemalloc.start()
+    try:
+        csbm_generate(cfg, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_graph_arrays_immutable():

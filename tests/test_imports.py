@@ -1,0 +1,29 @@
+"""Cold start: only commands that build a sparse matrix import scipy."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_CHILD = """
+import sys
+from grade.cli import dispatch
+
+def scipy_loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+out = sys.argv[1]
+assert dispatch(["generate", "--n", "20", "--seed", "3", "--out", out + "/ds"]) == 0
+assert scipy_loaded() == [], scipy_loaded()
+assert dispatch(["simulate", "--dataset", out + "/ds", "--horizon", "1",
+                 "--out", out + "/run"]) == 0
+assert "scipy.sparse" in scipy_loaded(), scipy_loaded()
+"""
+
+
+def test_generate_imports_no_scipy_and_simulate_loads_it(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _CHILD, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

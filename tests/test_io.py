@@ -53,9 +53,47 @@ def test_edge_list_malformed_header(tmp_path):
         gio.read_edge_list(path)
 
 
+def test_malformed_edge_field_names_the_file_line(tmp_path):
+    # numpy counts only the edge lines; the header, comments and blanks count too
+    path = tmp_path / "graph.txt"
+    path.write_text("# nodes: 4\n# a comment\n\n0 1\n# another\n1 2 0.5\n\n2 x\n")
+    with pytest.raises(ValueError, match=r"graph.txt:8: could not convert string 'x'"):
+        gio.read_edge_list(path)
+
+
+def test_malformed_csv_field_names_the_file_line(tmp_path):
+    # line 5 of the file, after the header, three rows and a blank line
+    gio.write_dataset(csbm_generate(CsbmConfig(n=6, p_intra=1.0, p_inter=0.0), seed=0), tmp_path)
+    lines = (tmp_path / "labels.csv").read_text().split("\n")
+    lines[3] = "\n3,1.5"
+    (tmp_path / "labels.csv").write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=r"labels.csv:5: could not convert string '1.5'"):
+        gio.read_dataset(tmp_path)
+
+
+def test_missing_column_names_the_file_line(tmp_path):
+    gio.write_dataset(csbm_generate(CsbmConfig(n=6, p_intra=1.0, p_inter=0.0), seed=0), tmp_path)
+    lines = (tmp_path / "masks.csv").read_text().split("\n")
+    lines[6] = lines[6].rsplit(",", 1)[0]
+    (tmp_path / "masks.csv").write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=r"masks.csv:7: the dtype passed requires 4 columns but 3"):
+        gio.read_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_feature_is_rejected_naming_file_and_node(tmp_path, value):
+    gio.write_dataset(csbm_generate(CsbmConfig(n=6, p_intra=1.0, p_inter=0.0), seed=0), tmp_path)
+    lines = (tmp_path / "features.csv").read_text().split("\n")
+    lines[4] = f"3,0.5,{value}"
+    (tmp_path / "features.csv").write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=r"features.csv: node 3 has a non-finite feature"):
+        gio.read_dataset(tmp_path)
+
+
 def test_integer_parsed_via_a_float_is_an_error(tmp_path, monkeypatch):
     # numpy releases that accept "1.5" in an integer field truncate it and
     # only warn; the readers turn that warning into an error naming the file
+    # and the line
     loadtxt = np.loadtxt
 
     def warning_loadtxt(*args, **kwargs):
@@ -65,7 +103,7 @@ def test_integer_parsed_via_a_float_is_an_error(tmp_path, monkeypatch):
 
     gio.write_dataset(csbm_generate(CsbmConfig(n=6, p_intra=1.0, p_inter=0.0), seed=0), tmp_path)
     monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
-    with pytest.raises(ValueError, match="graph.txt: loadtxt.*integer via a float"):
+    with pytest.raises(ValueError, match="graph.txt:2: loadtxt.*integer via a float"):
         gio.read_dataset(tmp_path)
 
 

@@ -8,6 +8,7 @@ in numpy's words. Values include signed zeros, subnormals, the largest
 doubles, integral floats and non-finite values.
 """
 import hashlib
+import re
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -70,13 +71,19 @@ def _malformed(outcome) -> bool:
                                          or "could not convert string" in outcome)
 
 
-def _assert_same_fault(got, ref, path):
+def _assert_same_fault(got, ref, path, line=None):
     """``got`` fails as ``ref`` does. numpy parses the whole file before any
     node check, so when either names a malformed field both must fail, and
-    ``got`` must name that file."""
+    ``got`` must name that file and a line: ``line`` when given, else the
+    line that ``ref`` names for its malformed field, if it names one."""
     if _malformed(got) or _malformed(ref):
         assert isinstance(ref, str), ref
-        assert got.startswith(f"ValueError: {path}: could not convert string"), got
+        where = re.escape(str(path))
+        named = re.match(rf"ValueError: {where}:(\d+): ", ref)
+        if line is None and named and _malformed(ref):
+            line = named[1]
+        at = r"\d+" if line is None else line
+        assert re.match(rf"ValueError: {where}:{at}: could not convert string", got), got
     else:
         assert got == ref
 
@@ -243,15 +250,17 @@ def test_bundle_reader_reports_the_first_fault_like_the_loop_reader(name, ds, no
             del rows[row]
         else:  # relabel one row: a duplicate, an out-of-range id, or unchanged
             rows[row] = f"{node}," + rows[row].split(",", 1)[1]
+        line = None
         if token is not None:  # one field that may not parse: a node id, label, mask or feature
             at, column, text = token
             fields = rows[at % len(rows)].split(",")
             fields[column % len(fields)] = text
             rows[at % len(rows)] = ",".join(fields)
+            line = at % len(rows) + 2  # the only field that may not parse is on this line
         path.write_text("\n".join([head] + rows) + "\n")
         got, ref = _outcome(gio.read_dataset, tmp), _outcome(ref_read_dataset, tmp)
     if isinstance(ref, str) or isinstance(got, str):
-        _assert_same_fault(got, ref, path)
+        _assert_same_fault(got, ref, path, line)
     else:
         assert _same_bits(got.features, ref.features)
         for field in ("labels", "train_mask", "val_mask", "test_mask"):
