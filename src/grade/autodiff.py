@@ -343,15 +343,18 @@ def arc_spmm(vals, X, g) -> Tensor:
 
 
 def segment_softmax(scores, offsets) -> Tensor:
-    """Softmax over contiguous segments of a flat score vector.
+    """Softmax of per-arc scores over contiguous segments.
 
-    ``offsets`` is the (n+1,) CSR pointer; every segment must be nonempty.
-    Scores are max-shifted per segment before exponentiation.
+    ``scores`` is a column (one row per arc) or a flat vector, and the
+    result has its shape. ``offsets`` is the (n+1,) CSR pointer; every
+    segment must be nonempty. Scores are max-shifted per segment before
+    exponentiation.
     """
     scores = constant(scores)
-    s = scores.data
-    if s.ndim != 1:
-        raise ValueError("segment_softmax expects a flat score vector")
+    shape = scores.data.shape
+    if len(shape) not in (1, 2) or shape[1:] not in ((), (1,)):
+        raise ValueError("segment_softmax expects one score per row: a column or a flat vector")
+    s = scores.data.reshape(-1)
     starts = offsets[:-1]
     counts = np.diff(offsets)
     if np.any(counts == 0):
@@ -363,10 +366,11 @@ def segment_softmax(scores, offsets) -> Tensor:
     p = e / sums[seg]
 
     def backward(g):
+        g = g.reshape(-1)
         dot = np.add.reduceat(p * g, starts)
-        scores.grad += p * (g - dot[seg])
+        scores.grad += (p * (g - dot[seg])).reshape(shape)
 
-    return Tensor(p, parents=(scores,), backward=backward)
+    return Tensor(p.reshape(shape), parents=(scores,), backward=backward)
 
 
 def clamped_norm(d, floor: float) -> Tensor:

@@ -25,6 +25,8 @@ __all__ = [
     "default_cluster_eps",
 ]
 
+EPS_FRACTION = 0.05  # default cluster scale, as a fraction of the initial feature diameter
+
 
 @dataclass(frozen=True, eq=False)
 class EnergySeries:
@@ -139,11 +141,11 @@ def energy_series(traj: Trajectory, g: Graph) -> EnergySeries:
     return EnergySeries(np.asarray(traj.times, dtype=np.float64), values)
 
 
-def default_cluster_eps(X0: np.ndarray, fraction: float = 0.05) -> float:
-    """Clustering scale: ``fraction`` of the initial Euclidean feature diameter."""
+def default_cluster_eps(X0: np.ndarray) -> float:
+    """Clustering scale: ``EPS_FRACTION`` of the initial Euclidean feature diameter."""
     X0 = _finite(X0)
     sq = max((_sq_distances(X0[i:], X0[i]).max() for i in range(len(X0))), default=0.0)
     diameter = float(np.sqrt(sq))
     if diameter == 0.0:
-        return fraction  # degenerate constant features; any positive eps works
-    return fraction * diameter
+        return EPS_FRACTION  # degenerate constant features; any positive eps works
+    return EPS_FRACTION * diameter

@@ -16,7 +16,6 @@ evaluation when they depend on the state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,12 +27,8 @@ from .kernels import (
     KernelMatrix,
     ProjectionParams,
     attention_arc_values,
-    attention_projection,
     kernel_weights,
 )
-
-if TYPE_CHECKING:  # scipy is imported only where a CSR matrix is built
-    import scipy.sparse as sp
 
 __all__ = [
     "ActivationSpec",
@@ -46,7 +41,8 @@ __all__ = [
     "rhs_ops",
 ]
 
-ACTIVATION_KINDS = ("identity", "tanh", "softplus", "relu")
+_ACTIVATIONS = {"identity": lambda x: x, "tanh": ad.tanh, "softplus": ad.softplus, "relu": ad.relu}
+ACTIVATION_KINDS = tuple(_ACTIVATIONS)
 ADJACENCY_MODES = ("static_row_normalized", "attention")
 
 
@@ -64,13 +60,7 @@ class ActivationSpec:
         return self.kind
 
     def apply(self, x: ad.Tensor) -> ad.Tensor:
-        if self.kind == "identity":
-            return x
-        if self.kind == "tanh":
-            return ad.tanh(x)
-        if self.kind == "softplus":
-            return ad.softplus(x)
-        return ad.relu(x)
+        return _ACTIVATIONS[self.kind](x)
 
 
 @dataclass(frozen=True)
@@ -102,17 +92,14 @@ class DynamicsConfig:
         )
 
 
-def attention_adjacency(X: np.ndarray, p: ProjectionParams, g: Graph) -> sp.csr_array:
+def attention_adjacency(X: np.ndarray, p: ProjectionParams, g: Graph) -> "scipy.sparse.csr_array":
     """Row-stochastic attention adjacency on the graph's support.
 
     Entry (u, v) for v in N(u) is the softmax over N(u) of the projected
     dot-product score; rows sum to one.
     """
-    import scipy.sparse as sp
-
     X = np.asarray(X, dtype=np.float64)
-    vals = attention_arc_values(X, *attention_projection(p), g).data.reshape(-1)
-    return sp.csr_array((vals, g.arc_dst, g.arc_offsets), shape=(g.n, g.n))
+    return g.arc_matrix(attention_arc_values(X, p, g).data.reshape(-1))
 
 
 def diffusion_term(cfg: DynamicsConfig, A, X: np.ndarray) -> np.ndarray:
@@ -162,23 +149,19 @@ def rhs_ops(
     attention softmax and the kernel. Plain evaluation goes through
     :func:`rhs`.
     """
-    parts: list[ad.Tensor] = []
-
+    total = None
     if cfg.diffusion_on:
         sX = cfg.activation.apply(X)
         if cfg.adjacency_mode == "attention":
-            alpha = attention_arc_values(X, *attention_projection(cfg.attention, theta), g)
+            alpha = attention_arc_values(X, cfg.attention, g, theta)
         else:
             alpha = g.static_arc_coeff
-        parts.append(ad.sub(ad.arc_spmm(alpha, sX, g), sX))
+        total = ad.sub(ad.arc_spmm(alpha, sX, g), sX)
 
     if cfg.aggregation_on:
         kvals = kernel_weights(cfg.kernel, X, g, cfg.attention, theta)
-        parts.append(_aggregation_from_kernel(g, kvals, X))
-
-    total = parts[0]
-    for extra in parts[1:]:
-        total = ad.add(total, extra)
+        aggregation = _aggregation_from_kernel(g, kvals, X)
+        total = aggregation if total is None else ad.add(total, aggregation)
     return total
 
 

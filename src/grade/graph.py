@@ -62,13 +62,16 @@ class Graph:
         rev.setflags(write=False)
         return rev
 
-    @cached_property
-    def _arc_csr(self) -> sp.csr_array:
+    def arc_matrix(self, values) -> sp.csr_array:
+        """The n x n CSR matrix with ``values`` (one per arc) on the arc table:
+        row pointers ``arc_offsets``, column indices ``arc_dst``."""
         import scipy.sparse as sp
 
-        return sp.csr_array(
-            (np.zeros(self.arc_dst.size), self.arc_dst, self.arc_offsets), shape=(self.n, self.n)
-        )
+        return sp.csr_array((values, self.arc_dst, self.arc_offsets), shape=(self.n, self.n))
+
+    @cached_property
+    def _arc_csr(self) -> sp.csr_array:
+        return self.arc_matrix(np.zeros(self.arc_dst.size))
 
     def arc_product(self, vals: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Row u is the sum over arcs (u, v) of vals[arc] * X[v], added in arc order.
@@ -128,7 +131,6 @@ class CsbmConfig:
     """Two-block contextual SBM: community graph plus class-mean features."""
 
     n: int = 100
-    classes: int = 2
     p_intra: float = 0.9
     p_inter: float = 0.05
     feat_dim: int = 2
@@ -136,8 +138,6 @@ class CsbmConfig:
     noise_std: float = 0.1
 
     def __post_init__(self):
-        if self.classes != 2:
-            raise ValueError("only two classes are supported")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError("n must be even and >= 2 for a balanced split")
         for name in ("p_intra", "p_inter"):
@@ -236,12 +236,7 @@ def row_normalized_adjacency(g: Graph) -> sp.csr_array:
 
     Rejects graphs with isolated nodes (their row would be empty).
     """
-    import scipy.sparse as sp
-
-    coeff = g.static_arc_coeff
-    return sp.csr_array(
-        (coeff, g.arc_dst, g.arc_offsets), shape=(g.n, g.n)
-    )
+    return g.arc_matrix(g.static_arc_coeff)
 
 
 def min_degree_node(g: Graph) -> tuple[int, int]:

@@ -10,7 +10,7 @@ import json
 import os
 import re
 import warnings
-from contextlib import closing
+from contextlib import closing, contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -79,7 +79,7 @@ def _load_table(path, lead: list[tuple[str, str]], values: str) -> np.ndarray:
     number as ``int()`` or ``float()`` gives; a file without rows gives zero
     rows.
     """
-    with open(path) as fh:
+    with _text_faults(path), open(path) as fh:
         fh.readline()
         start = fh.tell()
         line = fh.readline()
@@ -98,6 +98,24 @@ def _csv_rows(path):
     with open(path) as fh:
         yield from ((lineno, line) for lineno, line in enumerate(fh, start=1)
                     if lineno > 1 and line != "\n")
+
+
+@contextmanager
+def _text_faults(path):
+    """Report text in ``path`` that does not decode as an error naming the file line."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        # the offset in ``exc`` is within one decoded chunk; a newline byte is
+        # never part of a multibyte character, so find the line by decoding lines
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode(exc.encoding)
+                except UnicodeDecodeError as bad:
+                    raise ValueError(f"{path}:{lineno}: byte 0x{raw[bad.start]:02x} is not "
+                                     f"valid {bad.encoding} text") from None
+        raise
 
 
 _AT_ROW = re.compile(r" at row \d+(?=, column)| at row \d+;.*")  # numpy's row, not the file's line
@@ -202,7 +220,7 @@ def read_edge_list(path, n: int | None = None) -> Graph:
                         return
                     yield lineno, raw if len(parts) == 3 else raw.rstrip("\n") + " 1"
 
-    with closing(edge_lines()) as lines:
+    with _text_faults(path), closing(edge_lines()) as lines:
         first = next(lines, None)
         # a fault in a line before the one that stopped the lines is reported first
         edges = np.zeros(0, _EDGE) if first is None else _loadtxt(

@@ -96,9 +96,7 @@ class KernelMatrix:
             raise ValueError("values must align with the graph's arc table")
 
     def toarray(self) -> np.ndarray:
-        dense = np.zeros((self.graph.n, self.graph.n))
-        dense[self.graph.arc_src, self.graph.arc_dst] = self.values
-        return dense
+        return self.graph.arc_matrix(self.values).toarray()
 
     def row_sums(self) -> np.ndarray:
         return np.bincount(self.graph.arc_src, weights=self.values, minlength=self.graph.n)
@@ -111,27 +109,35 @@ def kernel_scalar(spec: KernelSpec, z) -> float:
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("kernel input must be finite")
-    r = float(np.linalg.norm(z))
+    return float(_kernel(spec, ad.constant(z.reshape(1, -1))).data[0, 0])
+
+
+def _log_kernel(spec: KernelSpec, diff: ad.Tensor) -> ad.Tensor:
+    """log kappa of a positive radial kernel on each row of ``diff``, as a column:
+    -|d|^2 / 2b^2 (gaussian) or -(2 + delta) log r (power)."""
     if spec.kind == "gaussian":
-        return float(np.exp(-r * r / (2.0 * spec.bandwidth ** 2)))
-    r = max(r, spec.singularity_floor)
+        sq = ad.reduce_sum(ad.mul(diff, diff), axis=1)
+        return ad.mul(sq, -1.0 / (2.0 * spec.bandwidth ** 2))
+    return ad.mul(ad.log(ad.clamped_norm(diff, spec.singularity_floor)), -(2.0 + spec.delta))
+
+
+def _kernel(spec: KernelSpec, diff: ad.Tensor) -> ad.Tensor:
+    """kappa of a radial kernel on each row of ``diff``, as a column:
+    exp of the gaussian score, log r, or r^(-2-delta), with r clamped below."""
+    if spec.kind == "gaussian":
+        return ad.exp(_log_kernel(spec, diff))
+    r = ad.clamped_norm(diff, spec.singularity_floor)
     if spec.kind == "log":
-        return float(np.log(r))
-    return float(r ** (-2.0 - spec.delta))
+        return ad.log(r)
+    return ad.power(r, -2.0 - spec.delta)
 
 
-def attention_projection(params: ProjectionParams | None, theta: ad.Tensor | None = None):
-    """Projection matrix and score scale of one attention evaluation.
-
-    ``theta``, when given, replaces the matrix of ``params`` (the training
-    unroll passes its parameter tensor so gradients reach it); without
-    ``params`` the scale is then the projected dimension.
-    """
-    if theta is not None:
-        return theta, params.scale if params is not None else float(theta.data.shape[0])
-    if params is None:
-        raise ValueError("attention needs projection parameters")
-    return ad.constant(params.theta), params.scale
+def _neighbourhood_softmax(scores: ad.Tensor, g: Graph, kernel: str) -> ad.Tensor:
+    """Per-arc ``scores`` softmaxed over each source neighbourhood; ``kernel`` names the error."""
+    if np.any(g.degree == 0):
+        empty = int(np.flatnonzero(g.degree == 0)[0])
+        raise ValueError(f"{kernel} undefined: node {empty} has no neighbors")
+    return ad.segment_softmax(scores, g.arc_offsets)
 
 
 def _node_rows(X, g: Graph) -> ad.Tensor:
@@ -141,26 +147,30 @@ def _node_rows(X, g: Graph) -> ad.Tensor:
     return X
 
 
-def _attention_scores(X: ad.Tensor, theta: ad.Tensor, scale: float, g: Graph) -> ad.Tensor:
-    """Flat per-arc scores (theta x_u)^T (theta x_v) / scale."""
+def attention_arc_values(
+    X, params: ProjectionParams | None, g: Graph, theta: ad.Tensor | None = None
+) -> ad.Tensor:
+    """Per-arc attention weights, as a column: softmax over each source
+    neighborhood of the scores (theta x_u)^T (theta x_v) / scale.
+
+    ``theta``, when given, replaces the matrix of ``params`` (the training
+    unroll passes its parameter tensor so gradients reach it); without
+    ``params`` the scale is then the projected dimension.
+    """
+    if theta is None:
+        if params is None:
+            raise ValueError("attention needs projection parameters")
+        theta = ad.constant(params.theta)
+    scale = params.scale if params is not None else float(theta.data.shape[0])
+    X = _node_rows(X, g)
+    if theta.data.shape[1] != X.data.shape[1]:
+        raise ValueError("projection theta columns must match feature dimension")
     proj = ad.matmul(X, theta, transpose_b=True)
     s = ad.reduce_sum(
         ad.mul(ad.gather_rows(proj, g.arc_src), ad.gather_rows(proj, g.arc_dst)),
         axis=1,
     )
-    return ad.reshape(ad.mul(s, 1.0 / scale), (g.arc_src.size,))
-
-
-def attention_arc_values(X, theta: ad.Tensor, scale: float, g: Graph) -> ad.Tensor:
-    """Per-arc attention weights, as a column: softmax over each source neighborhood."""
-    if np.any(g.degree == 0):
-        empty = int(np.flatnonzero(g.degree == 0)[0])
-        raise ValueError(f"attention undefined: node {empty} has no neighbors")
-    X = _node_rows(X, g)
-    if theta.data.shape[1] != X.data.shape[1]:
-        raise ValueError("projection theta columns must match feature dimension")
-    scores = _attention_scores(X, theta, scale, g)
-    return ad.reshape(ad.segment_softmax(scores, g.arc_offsets), (g.arc_src.size, 1))
+    return _neighbourhood_softmax(ad.mul(s, 1.0 / scale), g, "attention")
 
 
 def _arc_differences(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
@@ -173,14 +183,7 @@ def _arc_differences(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
 
 def kernel_arc_values(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
     """Differentiable per-arc radial kernel values kappa(x_u - x_v), as a column."""
-    diff = _arc_differences(spec, X, g)
-    if spec.kind == "gaussian":
-        sq = ad.reduce_sum(ad.mul(diff, diff), axis=1)
-        return ad.exp(ad.mul(sq, -1.0 / (2.0 * spec.bandwidth ** 2)))
-    r = ad.clamped_norm(diff, spec.singularity_floor)
-    if spec.kind == "log":
-        return ad.log(r)
-    return ad.power(r, -2.0 - spec.delta)
+    return _kernel(spec, _arc_differences(spec, X, g))
 
 
 def normalized_kernel_arc_values(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
@@ -193,24 +196,17 @@ def normalized_kernel_arc_values(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
     back to explicit division, rejecting nonpositive row sums.
     """
     diff = _arc_differences(spec, X, g)
-    m = g.arc_src.size
-    if spec.kind == "gaussian":
-        sq = ad.reduce_sum(ad.mul(diff, diff), axis=1)
-        scores = ad.mul(sq, -1.0 / (2.0 * spec.bandwidth ** 2))
-    elif spec.kind == "power":
-        scores = ad.mul(ad.log(ad.clamped_norm(diff, spec.singularity_floor)),
-                        -(2.0 + spec.delta))
-    else:
-        vals = ad.log(ad.clamped_norm(diff, spec.singularity_floor))
-        sums = ad.segment_sum(vals, g.arc_src, g.n)
-        s = sums.data[:, 0]
-        bad = np.flatnonzero((g.degree > 0) & ~(np.isfinite(s) & (s > 0)))
-        if bad.size:
-            raise ValueError("log kernel rows must have positive finite sums to normalize; "
-                             f"node {bad[0]}'s row sums to {s[bad[0]]:.17g}")
-        return ad.mul(vals, ad.power(ad.gather_rows(sums, g.arc_src), -1.0))
-    soft = ad.segment_softmax(ad.reshape(scores, (m,)), g.arc_offsets)
-    return ad.reshape(soft, (m, 1))
+    if spec.kind != "log":
+        return _neighbourhood_softmax(_log_kernel(spec, diff), g,
+                                      f"row-normalized {spec.kind} kernel")
+    vals = _kernel(spec, diff)
+    sums = ad.segment_sum(vals, g.arc_src, g.n)
+    s = sums.data[:, 0]
+    bad = np.flatnonzero((g.degree > 0) & ~(np.isfinite(s) & (s > 0)))
+    if bad.size:
+        raise ValueError("log kernel rows must have positive finite sums to normalize; "
+                         f"node {bad[0]}'s row sums to {s[bad[0]]:.17g}")
+    return ad.mul(vals, ad.power(ad.gather_rows(sums, g.arc_src), -1.0))
 
 
 def kernel_weights(
@@ -230,7 +226,7 @@ def kernel_weights(
     """
     if spec.kind == "attention":
         params = spec.theta if spec.theta is not None else attention
-        return attention_arc_values(X, *attention_projection(params, theta), g)
+        return attention_arc_values(X, params, g, theta)
     if spec.normalize_rows:
         return normalized_kernel_arc_values(spec, X, g)
     return kernel_arc_values(spec, X, g)

@@ -462,3 +462,88 @@ def ref_csbm_generate(cfg, seed: int) -> Dataset:
         val[idx[n_tr:n_tr + n_val]] = True
         test[idx[n_tr + n_val:]] = True
     return Dataset(graph, features, labels, train, val, test)
+
+
+# ------------------------------------------------------------- kernel layer
+#
+# grade.kernels' per-arc kernel functions as they were before the kernel
+# layer gave each formula one definition: the same autodiff primitives in the
+# same order, with flat-vector softmaxes and their reshapes, so that the
+# package's values and tape gradients can be compared with them bit for bit.
+
+
+def ref_attention_arc_values(X, params, g, theta=None):
+    """Per-arc attention column; ``theta`` replaces ``params``' matrix."""
+    from grade import autodiff as ad
+
+    if theta is not None:
+        scale = params.scale if params is not None else float(theta.data.shape[0])
+    elif params is None:
+        raise ValueError("attention needs projection parameters")
+    else:
+        theta, scale = ad.constant(params.theta), params.scale
+    if np.any(g.degree == 0):
+        empty = int(np.flatnonzero(g.degree == 0)[0])
+        raise ValueError(f"attention undefined: node {empty} has no neighbors")
+    X = ad.constant(X)
+    if theta.data.shape[1] != X.data.shape[1]:
+        raise ValueError("projection theta columns must match feature dimension")
+    proj = ad.matmul(X, theta, transpose_b=True)
+    s = ad.reduce_sum(
+        ad.mul(ad.gather_rows(proj, g.arc_src), ad.gather_rows(proj, g.arc_dst)), axis=1)
+    scores = ad.reshape(ad.mul(s, 1.0 / scale), (g.arc_src.size,))
+    return ad.reshape(ad.segment_softmax(scores, g.arc_offsets), (g.arc_src.size, 1))
+
+
+def ref_kernel_arc_values(spec, X, g):
+    """Raw radial kernel column kappa(x_u - x_v)."""
+    from grade import autodiff as ad
+
+    X = ad.constant(X)
+    diff = ad.sub(ad.gather_rows(X, g.arc_src), ad.gather_rows(X, g.arc_dst))
+    if spec.kind == "gaussian":
+        sq = ad.reduce_sum(ad.mul(diff, diff), axis=1)
+        return ad.exp(ad.mul(sq, -1.0 / (2.0 * spec.bandwidth ** 2)))
+    r = ad.clamped_norm(diff, spec.singularity_floor)
+    if spec.kind == "log":
+        return ad.log(r)
+    return ad.power(r, -2.0 - spec.delta)
+
+
+def ref_normalized_kernel_arc_values(spec, X, g):
+    """Row-normalized radial kernel column: a softmax of the log-kernel scores
+    for gaussian and power, a division by the row sums for log."""
+    from grade import autodiff as ad
+
+    X = ad.constant(X)
+    diff = ad.sub(ad.gather_rows(X, g.arc_src), ad.gather_rows(X, g.arc_dst))
+    m = g.arc_src.size
+    if spec.kind == "gaussian":
+        sq = ad.reduce_sum(ad.mul(diff, diff), axis=1)
+        scores = ad.mul(sq, -1.0 / (2.0 * spec.bandwidth ** 2))
+    elif spec.kind == "power":
+        scores = ad.mul(ad.log(ad.clamped_norm(diff, spec.singularity_floor)),
+                        -(2.0 + spec.delta))
+    else:
+        vals = ad.log(ad.clamped_norm(diff, spec.singularity_floor))
+        sums = ad.segment_sum(vals, g.arc_src, g.n)
+        s = sums.data[:, 0]
+        bad = np.flatnonzero((g.degree > 0) & ~(np.isfinite(s) & (s > 0)))
+        if bad.size:
+            raise ValueError("log kernel rows must have positive finite sums to normalize; "
+                             f"node {bad[0]}'s row sums to {s[bad[0]]:.17g}")
+        return ad.mul(vals, ad.power(ad.gather_rows(sums, g.arc_src), -1.0))
+    soft = ad.segment_softmax(ad.reshape(scores, (m,)), g.arc_offsets)
+    return ad.reshape(soft, (m, 1))
+
+
+def ref_kernel_weights(spec, X, g, attention=None, theta=None):
+    """The kernel column of the dynamics: attention from ``spec.theta``, else
+    ``attention``, with its matrix replaced by ``theta``; else the radial
+    kernel, row-normalized when ``spec.normalize_rows``."""
+    if spec.kind == "attention":
+        params = spec.theta if spec.theta is not None else attention
+        return ref_attention_arc_values(X, params, g, theta)
+    if spec.normalize_rows:
+        return ref_normalized_kernel_arc_values(spec, X, g)
+    return ref_kernel_arc_values(spec, X, g)

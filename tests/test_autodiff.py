@@ -156,6 +156,21 @@ def test_segment_softmax_matches_dense(rng):
     np.testing.assert_allclose(leaf.grad, fd, atol=1e-6)
 
 
+def test_segment_softmax_of_a_column_is_the_flat_softmax_bit_for_bit(rng):
+    offsets = np.array([0, 3, 5, 9])
+    s = rng.normal(size=9) * 30.0
+    flat, column = ad.parameter(s.copy()), ad.parameter(s.reshape(9, 1))
+    p_flat, p_col = ad.segment_softmax(flat, offsets), ad.segment_softmax(column, offsets)
+    assert p_col.data.shape == (9, 1)
+    np.testing.assert_array_equal(p_col.data[:, 0].view(np.uint64), p_flat.data.view(np.uint64))
+    w = rng.normal(size=9)
+    ad.reduce_sum(ad.mul(p_flat, w)).backward()
+    ad.reduce_sum(ad.mul(p_col, w.reshape(9, 1))).backward()
+    np.testing.assert_array_equal(column.grad[:, 0].view(np.uint64), flat.grad.view(np.uint64))
+    with pytest.raises(ValueError, match="one score per row"):
+        ad.segment_softmax(ad.constant(np.ones((9, 2))), offsets)
+
+
 def test_segment_softmax_rejects_empty_segment():
     with pytest.raises(ValueError):
         ad.segment_softmax(ad.constant(np.ones(3)), np.array([0, 0, 3]))

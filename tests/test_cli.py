@@ -6,11 +6,12 @@ import re
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grade import DynamicsConfig, KernelSpec, SolverConfig, TrainConfig
+from grade import Dataset, DynamicsConfig, KernelSpec, SolverConfig, TrainConfig, from_edge_list
 from grade.cli import _merge, _resolve, _unread, build_parser, dispatch
 from grade import io as gio
 
@@ -322,6 +323,49 @@ def test_trajectory_non_finite_feature_exits_one(dataset_dir, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "trajectory.csv at t=1" in err and "node 42 has a non-finite feature" in err
+
+
+def _corrupt_line(path, lineno):
+    """Put byte 0xe9, which no UTF-8 text holds alone, at the start of line ``lineno``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = b"\xe9" + lines[lineno - 1]
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize("name, lineno", [("labels.csv", 5), ("graph.txt", 3)])
+def test_bundle_not_utf8_exits_one_naming_the_line(dataset_dir, tmp_path, capsys, name, lineno):
+    _corrupt_line(dataset_dir / name, lineno)
+    assert dispatch(["simulate", "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert f"{name}:{lineno}: byte 0xe9 is not valid utf-8 text" in err and "Traceback" not in err
+
+
+def test_trajectory_not_utf8_exits_one_naming_the_line(dataset_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert dispatch(["simulate", "--dataset", str(dataset_dir), "--method", "euler",
+                     "--step", "1", "--horizon", "2", "--out", str(run)]) == 0
+    _corrupt_line(run / "trajectory.csv", 250)  # past the first 8 KiB the reader decodes
+    code = dispatch(["energy", "--dataset", str(dataset_dir),
+                     "--trajectory", str(run / "trajectory.csv"), "--out", str(tmp_path / "e")])
+    assert code == 1
+    assert "trajectory.csv:250: byte 0xe9 is not valid utf-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel, named", [
+    ({"kind": "attention"}, "attention"),
+    ({"kind": "gaussian", "normalize_rows": True}, "row-normalized gaussian kernel"),
+    ({"kind": "power", "normalize_rows": True}, "row-normalized power kernel"),
+])
+def test_softmax_kernel_on_a_node_without_neighbors_exits_one(tmp_path, capsys, kernel, named):
+    ds = Dataset(from_edge_list(4, [(0, 1), (1, 2)]), np.arange(8.0).reshape(4, 2),
+                 np.array([0, 0, 1, 1]), *np.eye(3, 4, dtype=bool))
+    gio.write_dataset(ds, tmp_path / "ds")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kernel": kernel, "attention": {"theta": [[1.0, 0.0]]}}))
+    assert dispatch(["simulate", "--dataset", str(tmp_path / "ds"), "--config", str(config),
+                     "--diffusion", "off", "--out", str(tmp_path / "x")]) == 1
+    assert f"{named} undefined: node 3 has no neighbors" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ config input

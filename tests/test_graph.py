@@ -220,8 +220,6 @@ def test_csbm_config_validation():
         CsbmConfig(p_intra=1.5)
     with pytest.raises(ValueError):
         CsbmConfig(noise_std=-0.1)
-    with pytest.raises(ValueError):
-        CsbmConfig(classes=3)
     for noise in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="noise_std must be >= 0 and finite"):
             CsbmConfig(noise_std=noise)

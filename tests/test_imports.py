@@ -1,4 +1,6 @@
-"""Cold start: only commands that build a sparse matrix import scipy."""
+"""Cold start and structure: only commands that build a sparse matrix import
+scipy, and only one place in the source builds that matrix."""
+import ast
 import os
 import subprocess
 import sys
@@ -27,3 +29,23 @@ def test_generate_imports_no_scipy_and_simulate_loads_it(tmp_path):
                           env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_graph_imports_scipy_and_one_call_builds_a_csr_array():
+    importers, builds = set(), 0
+    for path in (SRC / "grade").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(module.split(".")[0] == "scipy" for module in modules):
+                importers.add(path.name)
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                builds += called == "csr_array"
+    assert importers == {"graph.py"}
+    assert builds == 1

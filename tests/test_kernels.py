@@ -1,7 +1,10 @@
 """Kernel scalars, edge-supported kernel matrices, and row normalization."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grade import autodiff as ad
 from grade import (
     KernelMatrix,
     KernelSpec,
@@ -11,9 +14,15 @@ from grade import (
     kernel_scalar,
     row_normalize,
 )
-from grade.kernels import normalized_kernel_arc_values
+from grade.kernels import kernel_arc_values, kernel_weights, normalized_kernel_arc_values
 
-from _oracles import dense_kernel_matrix, kernel_value, random_connected_graph
+from _oracles import (
+    dense_kernel_matrix,
+    kernel_value,
+    random_connected_graph,
+    random_graph,
+    ref_kernel_weights,
+)
 
 
 def test_gaussian_at_zero_is_one():
@@ -222,3 +231,92 @@ def test_kernel_scalar_matches_oracle_formula():
             assert kernel_scalar(spec, z) == pytest.approx(
                 kernel_value(kind, z, 0.4, 0.9, 1e-5), rel=1e-14
             )
+
+
+# ------------------------------------------- one kernel layer, bit for bit
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _weights_and_grads(weights, spec, X, g, attention, theta):
+    """Kernel column and the tape gradients of a fixed linear functional of it
+    with respect to X and the training tensor (fresh leaves per call)."""
+    x = ad.parameter(X)
+    t = None if theta is None else ad.parameter(theta)
+    values = weights(spec, x, g, attention, t)
+    w = np.random.default_rng(values.data.size).normal(size=values.data.shape)
+    ad.reduce_sum(ad.mul(values, w)).backward()
+    return values.data, x.grad, None if t is None else t.grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    kind=st.sampled_from(("log", "power", "gaussian", "attention")),
+    normalize=st.booleans(),
+    params_from=st.sampled_from(("spec.theta", "cfg.attention", "none")),
+    tensor=st.booleans(),
+    weighted=st.booleans(),
+    components=st.integers(1, 2),
+    isolated=st.integers(0, 2),
+)
+def test_kernel_weights_are_the_pre_change_kernels_bit_for_bit(
+        seed, kind, normalize, params_from, tensor, weighted, components, isolated):
+    rng = np.random.default_rng(seed)
+    d, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    base = random_graph(rng, [int(rng.integers(2, 7)) for _ in range(components)], weighted)
+    g = from_edge_list(base.n + isolated, np.stack([base.edge_u, base.edge_v], axis=1),
+                       base.edge_weight)
+    X = rng.uniform(-2.0, 2.0, size=(g.n, d))
+    if rng.random() < 0.3:
+        X[1] = X[0]  # a coincident pair puts the singular kernels on their clamp
+    own = ProjectionParams(rng.normal(size=(k, d)), scale=float(rng.choice([0.0, 0.7])))
+    shared = ProjectionParams(rng.normal(size=(k, d)))
+    spec = KernelSpec(kind, delta=0.4, bandwidth=0.8, normalize_rows=normalize,
+                      theta=own if params_from == "spec.theta" else None)
+    attention = None if params_from == "none" else shared
+    theta = rng.normal(size=(k, d)) if tensor else None
+
+    try:
+        expected = _weights_and_grads(ref_kernel_weights, spec, X, g, attention, theta)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _weights_and_grads(kernel_weights, spec, X, g, attention, theta)
+        softmax = kind == "attention" or (normalize and kind != "log")
+        if isolated and softmax and "projection parameters" not in str(exc):
+            assert f"node {base.n} has no neighbors" in str(got.value)
+        else:
+            assert str(got.value) == str(exc)
+        return
+    got = _weights_and_grads(kernel_weights, spec, X, g, attention, theta)
+    for a, b in zip(got, expected):
+        if b is None:
+            assert a is None
+        else:
+            np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(("log", "power", "gaussian")),
+    z=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
+)
+def test_kernel_scalar_is_the_arc_kernel_on_one_edge(kind, z):
+    g = from_edge_list(2, [(0, 1)])
+    spec = KernelSpec(kind, delta=0.3, bandwidth=1.7, singularity_floor=1e-5)
+    X = np.stack([np.array(z), np.zeros(len(z))])
+    arc = kernel_arc_values(spec, X, g).data[0, 0]  # arc (0, 1): x_0 - x_1 = z
+    assert _bits(kernel_scalar(spec, z)) == _bits(arc)
+
+
+@pytest.mark.parametrize("spec, named", [
+    (KernelSpec("attention", theta=ProjectionParams(np.eye(2))), "attention"),
+    (KernelSpec("gaussian", normalize_rows=True), "row-normalized gaussian kernel"),
+    (KernelSpec("power", normalize_rows=True), "row-normalized power kernel"),
+])
+def test_softmax_kernel_names_the_node_without_neighbors(spec, named):
+    g = from_edge_list(5, [(0, 1), (1, 2), (2, 4)])
+    with pytest.raises(ValueError, match=f"{named} undefined: node 3 has no neighbors"):
+        kernel_matrix(spec, np.arange(10.0).reshape(5, 2), g)
