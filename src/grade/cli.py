@@ -9,7 +9,6 @@ codes: 0 success, 1 usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -52,8 +51,7 @@ def _threads() -> int | None:
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        config = json.load(fh)
+    config = gio.read_json(path)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: a config must be a JSON object, got {type(config).__name__}")
     return config

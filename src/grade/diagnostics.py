@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 EPS_FRACTION = 0.05  # default cluster scale, as a fraction of the initial feature diameter
+DISTANCE_BLOCK = 1 << 15  # point pairs compared per distance block
+SEED_BATCH = 64  # seeds compared with the unvisited points at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +78,47 @@ def feature_spread(X: np.ndarray) -> float:
     return float(np.max(X.max(axis=0) - X.min(axis=0)))
 
 
-def _sq_distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Squared distances from the rows of ``X`` to ``x``, summed as the dense pairwise form."""
-    return np.sum((X - x) ** 2, axis=1)
+def _square_plane(P: np.ndarray, Q: np.ndarray, k: int) -> np.ndarray:
+    diff = np.subtract.outer(P[k], Q[k])
+    return np.multiply(diff, diff, out=diff)
+
+
+def _plane_sum(P: np.ndarray, Q: np.ndarray, lo: int, count: int) -> np.ndarray:
+    """Sum of the squared planes of coordinates [lo, lo + count), added in
+    the order numpy's pairwise summation adds a contiguous row of that
+    length: one by one below 8 terms, in eight interleaved partial sums up
+    to 128, else as the sum of two halves (the first a multiple of 8 long)."""
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        acc = _plane_sum(P, Q, lo, half)
+        acc += _plane_sum(P, Q, lo + half, count - half)
+        return acc
+    end = lo + count
+    if count < 8:
+        acc, tail = _square_plane(P, Q, lo), lo + 1
+    else:
+        tail = end - count % 8
+        r = [_square_plane(P, Q, lo + j) for j in range(8)]
+        for k in range(lo + 8, tail):
+            r[(k - lo) % 8] += _square_plane(P, Q, k)
+        for step in (1, 2, 4):  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+            for j in range(0, 8, 2 * step):
+                r[j] += r[j + step]
+        acc = r[0]
+    for k in range(tail, end):
+        acc += _square_plane(P, Q, k)
+    return acc
+
+
+def _sq_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """(f, m) squared distances between the columns of ``P`` (d, f) and ``Q`` (d, m).
+
+    Entry (i, j) equals ``np.sum((P[:, i] - Q[:, j]) ** 2)`` bit for bit:
+    one subtract-and-square plane per coordinate, added in numpy's order.
+    """
+    if not len(P):
+        return np.zeros((P.shape[1], Q.shape[1]))
+    return _plane_sum(P, Q, 0, len(P))
 
 
 def _finite(X: np.ndarray) -> np.ndarray:
@@ -88,25 +128,58 @@ def _finite(X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _block_rows(m: int) -> int:
+    """Rows of a distance block against ``m`` > 0 columns."""
+    return max(1, DISTANCE_BLOCK // m)
+
+
+def _absorb(frontier: np.ndarray, rest: np.ndarray, r2: float) -> np.ndarray:
+    """The points of ``rest`` left once every point that ``frontier`` reaches,
+    directly or through other points of ``rest``, has left."""
+    while frontier.shape[1] and rest.shape[1]:
+        grown, first = [], 0
+        while first < frontier.shape[1] and rest.shape[1]:
+            last = first + _block_rows(rest.shape[1])
+            hit = np.any(_sq_distances(frontier[:, first:last], rest) <= r2, axis=0)
+            if hit.any():
+                grown.append(np.compress(hit, rest, axis=1))
+                rest = np.compress(~hit, rest, axis=1)
+            first = last
+        frontier = np.concatenate([frontier[:, :0], *grown], axis=1)
+    return rest
+
+
 def cluster_count(X: np.ndarray, eps: float) -> int:
     """Connected components of the eps-proximity graph on feature vectors.
 
-    Nodes are linked iff their Euclidean distance is <= eps. The count is n
-    minus the minimum-spanning-tree links no longer than eps (Gower & Ross
-    1969); Prim's algorithm grows the tree one distance row at a time.
+    Nodes are linked iff their Euclidean distance is <= eps. A frontier
+    search compares a batch of seeds with every unvisited point at once:
+    seeds that reach only themselves are singletons and leave together;
+    else the first seed with a neighbour grows its component one frontier
+    at a time against the shrinking set of unvisited points.
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    Y = _finite(X).copy()  # rows [0, m) are outside the tree; row m joined it last
-    link = np.full(len(Y), np.inf)  # squared distance from each outside row to the tree
-    links = 0
-    for m in range(len(Y) - 1, 0, -1):
-        np.minimum(link[:m], _sq_distances(Y[:m], Y[m]), out=link[:m])
-        k = int(np.argmin(link[:m]))
-        links += bool(link[k] <= eps * eps)
-        Y[[k, m - 1]] = Y[[m - 1, k]]
-        link[[k, m - 1]] = link[[m - 1, k]]
-    return len(Y) - links
+    rest = np.ascontiguousarray(_finite(X).T)  # coordinate-major unvisited points
+    r2 = eps * eps
+    count = 0
+    while rest.shape[1]:
+        seeds = min(SEED_BATCH, _block_rows(rest.shape[1]))
+        near = _sq_distances(rest[:, :seeds], rest) <= r2
+        np.fill_diagonal(near, False)  # seed i is point i
+        lonely = ~near.any(axis=1)
+        count += int(np.count_nonzero(lonely))
+        if lonely.all():
+            rest = rest[:, seeds:]
+            continue
+        grow = int(np.argmin(lonely))
+        gone = near[grow]
+        frontier = np.compress(gone, rest, axis=1)
+        gone[:seeds] |= lonely
+        gone[grow] = True
+        rest = _absorb(frontier, np.compress(~gone, rest, axis=1), r2)
+        count += 1
+    return count
 
 
 def metastability_profile(traj: Trajectory, eps: float) -> ClusterProfile:
@@ -143,8 +216,13 @@ def energy_series(traj: Trajectory, g: Graph) -> EnergySeries:
 
 def default_cluster_eps(X0: np.ndarray) -> float:
     """Clustering scale: ``EPS_FRACTION`` of the initial Euclidean feature diameter."""
-    X0 = _finite(X0)
-    sq = max((_sq_distances(X0[i:], X0[i]).max() for i in range(len(X0))), default=0.0)
+    P = np.ascontiguousarray(_finite(X0).T)
+    n = P.shape[1]
+    sq, first = 0.0, 0
+    while first < n:
+        last = first + _block_rows(n - first)
+        sq = max(sq, float(_sq_distances(P[:, first:last], P[:, first:]).max()))
+        first = last
     diameter = float(np.sqrt(sq))
     if diameter == 0.0:
         return EPS_FRACTION  # degenerate constant features; any positive eps works

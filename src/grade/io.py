@@ -32,6 +32,7 @@ __all__ = [
     "write_summary_json",
     "write_checkpoint",
     "read_checkpoint",
+    "read_json",
     "write_metrics_csv",
     "write_manifest",
 ]
@@ -343,9 +344,18 @@ def write_checkpoint(path, params: ModelParams, dynamics: DynamicsConfig, solver
     _write_json(path, obj)
 
 
+def read_json(path):
+    """The JSON value in ``path``; text that does not decode or parse raises
+    a ValueError naming ``path`` and the line (``path:line:col`` for syntax)."""
+    with _text_faults(path), open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+
+
 def read_checkpoint(path) -> tuple[ModelParams, DynamicsConfig, SolverConfig]:
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     return (
         ModelParams.from_json(obj["model"]),
         DynamicsConfig.from_json(obj["dynamics_config"]),

@@ -232,6 +232,43 @@ def feature_diameter(X: np.ndarray) -> float:
                          default=0.0))
 
 
+# ------------------------------------------------------- cluster diagnostics
+# grade.diagnostics' cluster count and cluster scale as they were before the
+# frontier search and the blocked distance kernel: one Python step per node,
+# each summing a distance row with numpy's ``sum(axis=1)``. The package must
+# give the same counts and the same bits of eps.
+
+
+def _row_sq_distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.sum((X - x) ** 2, axis=1)
+
+
+def ref_cluster_count(X: np.ndarray, eps: float) -> int:
+    """n minus the minimum-spanning-tree links no longer than eps (Gower &
+    Ross 1969), with Prim's algorithm growing the tree one row at a time."""
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
+    Y = np.asarray(X, dtype=np.float64).copy()  # rows [0, m) are outside the tree
+    link = np.full(len(Y), np.inf)  # squared distance from each outside row to the tree
+    links = 0
+    for m in range(len(Y) - 1, 0, -1):
+        np.minimum(link[:m], _row_sq_distances(Y[:m], Y[m]), out=link[:m])
+        k = int(np.argmin(link[:m]))
+        links += bool(link[k] <= eps * eps)
+        Y[[k, m - 1]] = Y[[m - 1, k]]
+        link[[k, m - 1]] = link[[m - 1, k]]
+    return len(Y) - links
+
+
+def ref_default_cluster_eps(X0: np.ndarray) -> float:
+    """5% of the Euclidean feature diameter, found one row at a time; 0.05
+    when every row is the same point."""
+    X0 = np.asarray(X0, dtype=np.float64)
+    sq = max((_row_sq_distances(X0[i:], X0[i]).max() for i in range(len(X0))), default=0.0)
+    diameter = float(np.sqrt(sq))
+    return 0.05 * diameter if diameter > 0.0 else 0.05
+
+
 # ------------------------------------------------------------ file formats
 # The csv-module writers and the loop- and dict-based readers that
 # grade.io and grade.graph.from_edge_list used before their numpy rewrite,

@@ -352,6 +352,35 @@ def test_trajectory_not_utf8_exits_one_naming_the_line(dataset_dir, tmp_path, ca
     assert "trajectory.csv:250: byte 0xe9 is not valid utf-8 text" in capsys.readouterr().err
 
 
+def test_config_not_utf8_exits_one_naming_the_line(dataset_dir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"horizon": 2,\n "method": "caf\xe9"}\n')
+    assert dispatch(["simulate", "--dataset", str(dataset_dir), "--config", str(config),
+                     "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {config}:2: byte 0xe9 is not valid utf-8 text" in err and "Traceback" not in err
+
+
+def test_config_json_syntax_error_names_file_line_and_column(dataset_dir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"horizon": 2,\n "step" 1}\n')
+    assert dispatch(["simulate", "--dataset", str(dataset_dir), "--config", str(config),
+                     "--out", str(tmp_path / "x")]) == 1
+    assert f"error: {config}:2:9: Expecting ':' delimiter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [
+    (b'{"model": \xe9}', ":1: byte 0xe9 is not valid utf-8 text"),
+    (b'{"model": {}\n\n,}', ":3:2: Expecting property name enclosed in double quotes"),
+])
+def test_checkpoint_that_does_not_parse_names_the_line(tmp_path, text, named):
+    path = tmp_path / "checkpoint.json"
+    path.write_bytes(text)
+    with pytest.raises(ValueError) as info:
+        gio.read_checkpoint(path)
+    assert str(info.value) == f"{path}{named}"
+
+
 @pytest.mark.parametrize("kernel, named", [
     ({"kind": "attention"}, "attention"),
     ({"kind": "gaussian", "normalize_rows": True}, "row-normalized gaussian kernel"),

@@ -21,7 +21,7 @@ from grade import (
     rhs,
     row_normalized_adjacency,
 )
-from grade.diagnostics import default_cluster_eps
+from grade.diagnostics import _sq_distances, default_cluster_eps
 
 
 def test_energy_constant_features_zero():
@@ -84,6 +84,12 @@ def test_cluster_count_examples():
     assert cluster_count(np.zeros((1, 2)), eps=1.0) == 1
 
 
+def test_cluster_diagnostics_of_zero_width_features():
+    # no coordinates: every pair is at distance 0
+    assert cluster_count(np.zeros((3, 0)), eps=1.0) == 1
+    assert default_cluster_eps(np.zeros((3, 0))) == 0.05
+
+
 def test_cluster_count_monotone_in_eps():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(10, 2))
@@ -117,6 +123,44 @@ def test_cluster_diagnostics_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def _dispersed(rng, n):
+    # every node is its own cluster, so every seed batch is all singletons
+    return np.column_stack([2.0 * rng.permutation(n), rng.uniform(0.0, 0.5, size=n)]), n
+
+
+def _two_communities(rng, n):
+    # the second frontier meets half of the nodes against the other half
+    side = np.where(np.arange(n) >= n // 2, 50.0, -50.0)
+    return np.column_stack([side, np.zeros(n)]) + 1e-9 * rng.normal(size=(n, 2)), 2
+
+
+@pytest.mark.parametrize("state", [_dispersed, _two_communities])
+def test_spread_cluster_diagnostics_memory_is_linear_in_n(state):
+    X, clusters = state(np.random.default_rng(3), 3000)
+    tracemalloc.start()
+    try:
+        assert cluster_count(X, eps=1.0) == clusters
+        default_cluster_eps(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("d", [*range(1, 21), 127, 128, 129, 256, 300])
+def test_sq_distances_sum_each_pair_as_numpy_sums_a_row(d):
+    # magnitudes over 16 decades make the sum depend on the order of its terms
+    rng = np.random.default_rng(d)
+    scale = 10.0 ** rng.integers(-8, 9, size=d)
+    p = rng.normal(size=(5, 1, d)) * scale
+    q = rng.normal(size=(1, 7, d)) * scale
+    want = np.sum((q - p) ** 2, axis=-1)
+    got = _sq_distances(p[:, 0].T.copy(), q[0].T.copy())
+    assert np.array_equal(got, want), (
+        f"numpy {np.__version__} no longer sums a length-{d} row in the order "
+        "grade.diagnostics._sq_distances reproduces")
 
 
 def test_profile_stationary_single_interval():

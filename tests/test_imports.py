@@ -1,5 +1,6 @@
 """Cold start and structure: only commands that build a sparse matrix import
-scipy, and only one place in the source builds that matrix."""
+scipy (``generate`` and ``energy --trajectory`` build none), and only one
+place in the source builds that matrix."""
 import ast
 import os
 import subprocess
@@ -10,13 +11,22 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 _CHILD = """
 import sys
+import numpy as np
+from grade import io
 from grade.cli import dispatch
+from grade.solvers import Trajectory
 
 def scipy_loaded():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
 out = sys.argv[1]
 assert dispatch(["generate", "--n", "20", "--seed", "3", "--out", out + "/ds"]) == 0
+assert scipy_loaded() == [], scipy_loaded()
+X = io.read_dataset(out + "/ds").features
+io.write_trajectory_csv(Trajectory(np.array([0.0, 1.0]), np.stack([X, 0.5 * X]), 1),
+                        out + "/trajectory.csv")
+assert dispatch(["energy", "--dataset", out + "/ds", "--trajectory", out + "/trajectory.csv",
+                 "--out", out + "/energy"]) == 0
 assert scipy_loaded() == [], scipy_loaded()
 assert dispatch(["simulate", "--dataset", out + "/ds", "--horizon", "1",
                  "--out", out + "/run"]) == 0

@@ -40,6 +40,8 @@ from _oracles import (
     pair_sq_distance,
     random_connected_graph,
     random_graph,
+    ref_cluster_count,
+    ref_default_cluster_eps,
 )
 
 KINDS = ("log", "power", "gaussian", "attention")
@@ -199,6 +201,47 @@ def test_cluster_count_monotone_and_permutation_invariant(case, other_eps, rando
 def test_default_cluster_eps_is_five_percent_of_the_diameter(X):
     diameter = feature_diameter(X)
     assert default_cluster_eps(X) == (0.05 * diameter if diameter > 0 else 0.05)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_sets_and_eps())
+def test_cluster_count_matches_prim_oracle(case):
+    X, eps = case
+    assert cluster_count(X, eps) == ref_cluster_count(X, eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_point_sets())
+def test_default_cluster_eps_has_the_loop_oracles_bits(X):
+    assert default_cluster_eps(X).hex() == ref_default_cluster_eps(X).hex()
+
+
+BENCH_SHAPES = {  # (community offset, noise) of the energy benchmark's three records
+    "two-communities": (0.5, 0.1),
+    "dispersed": (0.5, 10.0),
+    "collapsed": (0.005, 0.001),
+}
+
+
+@st.composite
+def _bench_states(draw):
+    """A state of n ~ 300 nodes shaped like one energy-benchmark record, and
+    the eps that the two-community record of the same draw fixes."""
+    n, d = draw(st.integers(280, 320)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = np.where(np.arange(n) >= n // 2, 1.0, -1.0)[:, None] * np.ones((1, d))
+    z = rng.normal(size=(n, d))
+    offset, noise = BENCH_SHAPES[draw(st.sampled_from(sorted(BENCH_SHAPES)))]
+    eps = ref_default_cluster_eps(0.5 * side + 0.1 * z)
+    return offset * side + noise * z, eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bench_states())
+def test_cluster_diagnostics_match_the_oracles_on_bench_shaped_states(case):
+    X, eps = case
+    assert cluster_count(X, eps) == ref_cluster_count(X, eps)
+    assert default_cluster_eps(X).hex() == ref_default_cluster_eps(X).hex()
 
 
 def _central_difference(fn, x, h=1e-6):
