@@ -32,7 +32,8 @@ class Graph:
 
     ``edge_u/edge_v/edge_weight`` hold each undirected edge once (u < v);
     ``arc_*`` hold both orientations sorted by (src, dst), with
-    ``arc_offsets[u]:arc_offsets[u+1]`` slicing the arcs leaving ``u``.
+    ``arc_offsets[u]:arc_offsets[u+1]`` slicing the arcs leaving ``u``, and
+    ``reverse_arc`` giving the index of arc (v, u) for every arc (u, v).
     """
 
     n: int
@@ -44,6 +45,7 @@ class Graph:
     arc_weight: np.ndarray
     arc_offsets: np.ndarray
     degree: np.ndarray
+    reverse_arc: np.ndarray
 
     @property
     def num_edges(self) -> int:
@@ -54,13 +56,6 @@ class Graph:
         wd = np.bincount(self.arc_src, weights=self.arc_weight, minlength=self.n)
         wd.setflags(write=False)
         return wd
-
-    @cached_property
-    def reverse_arc(self) -> np.ndarray:
-        """Index of arc (v, u) for every arc (u, v): the arcs sorted by (dst, src)."""
-        rev = np.lexsort((self.arc_src, self.arc_dst))
-        rev.setflags(write=False)
-        return rev
 
     def arc_matrix(self, values) -> sp.csr_array:
         """The n x n CSR matrix with ``values`` (one per arc) on the arc table:
@@ -86,10 +81,11 @@ class Graph:
 
     @cached_property
     def static_arc_coeff(self) -> np.ndarray:
-        """Per-arc row-normalized weight w_uv / sum_l w_ul (needs no isolated nodes)."""
-        if np.any(self.degree == 0):
-            isolated = int(np.flatnonzero(self.degree == 0)[0])
-            raise ValueError(f"graph has isolated node {isolated}")
+        """Per-arc row-normalized weight w_uv / sum_l w_ul (needs every sum positive)."""
+        if np.any(self.weighted_degree == 0):
+            u = int(np.argmin(self.weighted_degree))
+            raise ValueError(f"graph has isolated node {u}" if self.degree[u] == 0
+                             else f"node {u} has zero total edge weight")
         coeff = self.arc_weight / self.weighted_degree[self.arc_src]
         coeff.setflags(write=False)
         return coeff
@@ -153,21 +149,23 @@ class CsbmConfig:
 
 
 def _build_graph(n: int, eu: np.ndarray, ev: np.ndarray, w: np.ndarray) -> Graph:
-    """Assemble arc tables from a validated canonical edge list (u < v)."""
-    order = np.lexsort((ev, eu))
-    eu, ev, w = eu[order], ev[order], w[order]
-
-    arc_src = np.concatenate([eu, ev])
-    arc_dst = np.concatenate([ev, eu])
-    arc_w = np.concatenate([w, w])
+    """Sort both orientations of validated canonical edges (u < v, any order) once:
+    that gives the arc table, the edges (the arcs with u < v) and each arc's reverse."""
+    arc_src, arc_dst = np.concatenate([eu, ev]), np.concatenate([ev, eu])
     order = np.lexsort((arc_dst, arc_src))
-    arc_src, arc_dst, arc_w = arc_src[order], arc_dst[order], arc_w[order]
+    arc_src, arc_dst, arc_w = arc_src[order], arc_dst[order], np.concatenate([w, w])[order]
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    # input arcs j and j ± m are reverses (m = eu.size), so rolling by m swaps the halves
+    reverse = np.roll(position, eu.size)[order]
+    forward = arc_src < arc_dst
 
     degree = np.bincount(arc_src, minlength=n).astype(np.int64)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degree, out=offsets[1:])
 
-    arrays = (eu, ev, w, arc_src, arc_dst, arc_w, offsets, degree)
+    arrays = (arc_src[forward], arc_dst[forward], arc_w[forward],
+              arc_src, arc_dst, arc_w, offsets, degree, reverse)
     for a in arrays:
         a.setflags(write=False)
     return Graph(n, *arrays)
@@ -183,9 +181,9 @@ def from_edge_list(n, edges, weights=None) -> Graph:
     """Build a Graph from undirected pairs, collapsing (u,v)/(v,u) duplicates.
 
     Duplicate pairs must agree on weight; self-loops, non-integral or
-    out-of-range endpoints and negative weights are rejected. The error
-    names the first offending pair in input order; a duplicate is compared
-    with the first occurrence of its pair, whose weight is kept.
+    out-of-range endpoints and non-finite or negative weights are rejected.
+    The error names the first offending pair in input order; a duplicate is
+    compared with the first occurrence of its pair, whose weight is kept.
     """
     if n < 0:
         raise ValueError("node count must be >= 0")
@@ -218,6 +216,7 @@ def from_edge_list(n, edges, weights=None) -> Graph:
         (fractional, "edge endpoint is not an integer node id: ({x}, {y})"),
         ((lo < 0) | (hi >= n), "edge endpoint out of range: ({u}, {v})"),
         (u == v, "self-loop at node {u}"),
+        (~np.isfinite(w), "non-finite weight on edge ({u}, {v})"),
         (w < 0, "negative weight on edge ({u}, {v})"),
         ((first_of != np.arange(m)) & (w[first_of] != w),
          "conflicting duplicate weights for edge ({lo}, {hi})"),

@@ -10,8 +10,7 @@ import json
 import os
 import re
 import warnings
-from contextlib import closing, contextmanager
-from itertools import chain
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +90,7 @@ def _load_table(path, lead: list[tuple[str, str]], values: str) -> np.ndarray:
         if not line:
             return np.zeros(0, dtype)
         fh.seek(start)
-        return _loadtxt(path, fh, lambda: _csv_rows(path), dtype, delimiter=",")
+        return _loadtxt(path, fh, _csv_rows(path), dtype, delimiter=",")
 
 
 def _csv_rows(path):
@@ -127,9 +126,9 @@ def _loadtxt(path, lines, numbered, dtype, **kwargs) -> np.ndarray:
 
     A malformed field, such as a non-integral number in an integer field,
     raises a ValueError naming ``path`` and the line: the first line of
-    ``numbered()`` (the same lines, as (line number, text) pairs) that fails
-    to parse alone. Every dtype here fixes the column count, so a line parses
-    alone as it does in the file.
+    ``numbered`` (the same lines, as (line number, text) pairs, iterated only
+    on a fault) that fails to parse alone. Every dtype here fixes the column
+    count, so a line parses alone as it does in the file.
     """
     def parse(rows):
         return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1, **kwargs)
@@ -141,7 +140,7 @@ def _loadtxt(path, lines, numbered, dtype, **kwargs) -> np.ndarray:
             return parse(lines)
         except (ValueError, DeprecationWarning) as exc:
             fault = exc
-        for lineno, line in numbered():
+        for lineno, line in numbered:
             try:
                 parse([line])
             except (ValueError, DeprecationWarning) as exc:
@@ -189,6 +188,7 @@ def write_edge_list(g: Graph, path) -> None:
 
 
 _EDGE = np.dtype([("u", "i8"), ("v", "i8"), ("w", "f8")])
+EDGE_BLOCK = 1 << 10  # edge lines held as text until one np.loadtxt call parses them
 
 
 def read_edge_list(path, n: int | None = None) -> Graph:
@@ -196,38 +196,34 @@ def read_edge_list(path, n: int | None = None) -> Graph:
 
     A line holds `u v` or `u v weight` (weight 1 when absent); blank lines
     and lines starting with `#` are skipped, and `# nodes: N` sets the node
-    count.
+    count. The file is read once; edge lines are parsed EDGE_BLOCK at a time.
     """
-    header_n, fault = None, None
-
-    def edge_lines():
-        """(line number, text) of each edge line, with three fields; reads the
-        header on the way and stops at the first line that is neither."""
-        nonlocal header_n, fault
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                parts = raw.split()
-                if parts and parts[0].startswith("#"):
-                    line = raw.strip()
-                    if "nodes:" in line:
-                        try:
-                            header_n = int(line.split("nodes:")[1].strip())
-                        except ValueError:
-                            fault = f"{path}:{lineno}: expected '# nodes: N'"
-                            return
-                elif parts:
-                    if len(parts) not in (2, 3):
-                        fault = f"{path}:{lineno}: expected 'u v [weight]'"
-                        return
-                    yield lineno, raw if len(parts) == 3 else raw.rstrip("\n") + " 1"
-
-    with _text_faults(path), closing(edge_lines()) as lines:
-        first = next(lines, None)
-        # a fault in a line before the one that stopped the lines is reported first
-        edges = np.zeros(0, _EDGE) if first is None else _loadtxt(
-            path, (text for _, text in chain([first], lines)), edge_lines, _EDGE)
+    header_n, fault, blocks, linenos, lines = None, None, [], [], []
+    with _text_faults(path), open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split()
+            if parts and parts[0].startswith("#"):
+                if "nodes:" in raw:
+                    try:
+                        header_n = int(raw.split("nodes:")[1])  # int() strips whitespace
+                    except ValueError:
+                        fault = f"{path}:{lineno}: expected '# nodes: N'"
+                        break
+            elif parts:
+                if len(parts) not in (2, 3):
+                    fault = f"{path}:{lineno}: expected 'u v [weight]'"
+                    break
+                linenos.append(lineno)
+                lines.append(raw if len(parts) == 3 else raw.rstrip("\n") + " 1")
+                if len(lines) == EDGE_BLOCK:
+                    blocks.append(_loadtxt(path, lines, zip(linenos, lines), _EDGE))
+                    linenos, lines = [], []
+    # a fault in a line before the one that stopped the loop is reported first
+    blocks.append(_loadtxt(path, lines, zip(linenos, lines), _EDGE) if lines else np.zeros(0, _EDGE))
     if fault:
         raise ValueError(fault)
+    edges = np.concatenate(blocks)
+    del blocks, linenos, lines  # so that the graph is built without them
     if n is None:
         n = header_n if header_n is not None else \
             int(np.maximum(edges["u"], edges["v"]).max(initial=-1)) + 1

@@ -378,8 +378,11 @@ def train(ds: Dataset, cfg: TrainConfig):
     """
     if not ds.train_mask.any() or not ds.val_mask.any():
         raise ValueError("dataset needs nonempty train and validation masks")
-    params = init_params(ds, cfg)
-    best = params.copy()
+    # each epoch frees its whole tape; freeing one untouched 4 MB block first makes
+    # glibc keep up to 8 MB of freed heap instead of returning it to the OS, so
+    # the next epoch does not fault those pages in again (other allocators ignore it)
+    np.empty(1 << 22, dtype=np.uint8)
+    params = best = init_params(ds, cfg)  # each update builds new arrays, so none is copied
     best_val = -1.0
     metrics: list[EpochMetrics] = []
     decayed = ("enc_weight", "dec_weight", "theta")
@@ -388,13 +391,13 @@ def train(ds: Dataset, cfg: TrainConfig):
     for epoch in range(cfg.epochs):
         if not np.isfinite(value):
             raise NumericalError(f"training diverged at epoch {epoch}")
-        updated = params.copy()
-        for name, _ in params.fields():
-            step = getattr(grads, name).copy()
+        updated = {}
+        for name, param in params.fields():
+            step = getattr(grads, name)
             if cfg.weight_decay > 0 and name in decayed:
-                step += cfg.weight_decay * getattr(params, name)
-            getattr(updated, name)[...] = getattr(params, name) - cfg.learning_rate * step
-        params = updated
+                step = step + cfg.weight_decay * param
+            updated[name] = param - cfg.learning_rate * step
+        params = replace(params, **updated)
 
         epoch_loss = value
         if epoch + 1 < cfg.epochs:
@@ -406,5 +409,5 @@ def train(ds: Dataset, cfg: TrainConfig):
         metrics.append(EpochMetrics(epoch, epoch_loss, val_acc, test_acc))
         if val_acc > best_val:
             best_val = val_acc
-            best = params.copy()
+            best = params
     return best, metrics

@@ -274,9 +274,9 @@ def ref_default_cluster_eps(X0: np.ndarray) -> float:
 # grade.io and grade.graph.from_edge_list used before their numpy rewrite,
 # kept as written: the new code must write the same bytes, parse the same
 # bits and raise the same first error. ref_from_edge_list hands its checked,
-# deduplicated edges to grade's own _build_graph, which the rewrite left alone.
+# deduplicated edges, in dict order, to grade's own _build_graph.
 # Since then the readers name the line of a malformed edge-list field and
-# reject a non-finite feature, and these oracles do too.
+# reject a non-finite feature or edge weight, and these oracles do too.
 
 
 def ref_fmt(x: float) -> str:
@@ -295,7 +295,7 @@ def ref_from_edge_list(n, edges, weights=None) -> Graph:
     """Build a Graph from undirected pairs, collapsing (u,v)/(v,u) duplicates.
 
     Duplicate pairs must agree on weight; self-loops, out-of-range endpoints
-    and negative weights are rejected.
+    and non-finite or negative weights are rejected.
     """
     if n < 0:
         raise ValueError("node count must be >= 0")
@@ -314,6 +314,8 @@ def ref_from_edge_list(n, edges, weights=None) -> Graph:
             raise ValueError(f"edge endpoint out of range: ({u}, {v})")
         if u == v:
             raise ValueError(f"self-loop at node {u}")
+        if not np.isfinite(w):
+            raise ValueError(f"non-finite weight on edge ({u}, {v})")
         if w < 0:
             raise ValueError(f"negative weight on edge ({u}, {v})")
         key = (min(u, v), max(u, v))

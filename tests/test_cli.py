@@ -325,6 +325,25 @@ def test_trajectory_non_finite_feature_exits_one(dataset_dir, tmp_path, capsys):
     assert "trajectory.csv at t=1" in err and "node 42 has a non-finite feature" in err
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["simulate", "energy"])
+def test_bundle_non_finite_edge_weight_exits_one(dataset_dir, tmp_path, capsys, weight, command):
+    # a nan weight used to give nan energies with a "mitigated" verdict, or a
+    # simulate that exited 2 with "state became non-finite"
+    run = tmp_path / "run"
+    assert dispatch(["simulate", "--dataset", str(dataset_dir), "--method", "euler",
+                     "--step", "1", "--horizon", "2", "--out", str(run)]) == 0
+    graph = dataset_dir / "graph.txt"
+    lines = graph.read_text().splitlines(keepends=True)
+    u, v, _ = lines[1].split()
+    graph.write_text("".join([lines[0], f"{u} {v} {weight}\n"] + lines[2:]))
+    flags = ["--trajectory", str(run / "trajectory.csv")] if command == "energy" else []
+    assert dispatch([command, "--dataset", str(dataset_dir), *flags,
+                     "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert f"non-finite weight on edge ({u}, {v})" in err and "Traceback" not in err
+
+
 def _corrupt_line(path, lineno):
     """Put byte 0xe9, which no UTF-8 text holds alone, at the start of line ``lineno``."""
     lines = path.read_bytes().splitlines(keepends=True)

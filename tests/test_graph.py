@@ -1,4 +1,5 @@
 """Graph construction, normalization, synthetic data, and degree queries."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,13 @@ def test_negative_weight_rejected():
         from_edge_list(2, [(0, 1)], weights=[-1.0])
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_weight_rejected(weight):
+    # a nan weight used to pass `w < 0` and give nan diffusion
+    with pytest.raises(ValueError, match=r"non-finite weight on edge \(2, 1\)"):
+        from_edge_list(3, [(0, 1), (2, 1), (0, 2)], weights=[1.0, weight, weight])
+
+
 def test_conflicting_duplicate_weight_rejected():
     with pytest.raises(ValueError, match="conflicting"):
         from_edge_list(2, [(0, 1), (1, 0)], weights=[1.0, 2.0])
@@ -121,6 +129,52 @@ def test_row_normalized_rejects_isolated():
     g = from_edge_list(3, [(0, 1)])
     with pytest.raises(ValueError, match="isolated"):
         row_normalized_adjacency(g)
+
+
+def test_row_normalized_rejects_a_node_with_zero_total_weight():
+    # node 0's row used to divide 0 by 0 and give rhs a nan
+    g = from_edge_list(3, [(0, 1), (1, 2)], weights=[0.0, 1.0])
+    with pytest.raises(ValueError, match="node 0 has zero total edge weight"):
+        row_normalized_adjacency(g)
+    with pytest.raises(ValueError, match="graph has isolated node 0"):
+        row_normalized_adjacency(from_edge_list(3, [(1, 2)], weights=[0.0]))
+
+
+@st.composite
+def canonical_edge_lists(draw):
+    """(n, edges u < v in (u, v) order, their weights), isolated nodes and m = 0 included."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), max_size=len(pairs)))) if pairs else []
+    weights = draw(st.lists(st.sampled_from((1.0, 0.5, 2.0, 0.0, 3e-7, 1e300)),
+                            min_size=len(edges), max_size=len(edges)))
+    return n, edges, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=canonical_edge_lists(), data=st.data())
+def test_build_graph_sorts_once_into_edges_arcs_and_reverse_arcs(case, data):
+    n, edges, weights = case
+    shuffled = data.draw(st.permutations(range(len(edges))))
+
+    def build(order):
+        eu = np.array([edges[i][0] for i in order], dtype=np.int64)
+        ev = np.array([edges[i][1] for i in order], dtype=np.int64)
+        return graph_module._build_graph(n, eu, ev, np.array([weights[i] for i in order]))
+
+    g = build(range(len(edges)))
+    other = build(shuffled)
+    for field in dataclasses.fields(g):
+        np.testing.assert_array_equal(getattr(other, field.name), getattr(g, field.name))
+    np.testing.assert_array_equal(np.stack([g.edge_u, g.edge_v], axis=1).reshape(-1, 2),
+                                  np.array(edges, dtype=np.int64).reshape(-1, 2))
+    np.testing.assert_array_equal(g.edge_weight, weights)
+    rev = g.reverse_arc
+    np.testing.assert_array_equal(rev, np.lexsort((g.arc_src, g.arc_dst)))
+    np.testing.assert_array_equal(rev[rev], np.arange(2 * len(edges)))
+    np.testing.assert_array_equal(g.arc_src[rev], g.arc_dst)
+    np.testing.assert_array_equal(g.arc_dst[rev], g.arc_src)
+    np.testing.assert_array_equal(g.arc_weight[rev], g.arc_weight)
 
 
 def test_row_sums_one_within_tolerance():

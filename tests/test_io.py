@@ -61,6 +61,18 @@ def test_malformed_edge_field_names_the_file_line(tmp_path):
         gio.read_edge_list(path)
 
 
+def test_edge_list_fault_is_found_in_one_read_of_the_file(tmp_path, monkeypatch):
+    # the line of a bad field comes from the lines kept in the one pass
+    path = tmp_path / "graph.txt"
+    path.write_text("# nodes: 4\n0 1\n1 x\n2 3 -\n")
+    opened = []
+    monkeypatch.setattr(gio, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
+                        raising=False)
+    with pytest.raises(ValueError, match=r"graph.txt:3: could not convert string 'x'"):
+        gio.read_edge_list(path)
+    assert opened == [path]
+
+
 def test_malformed_csv_field_names_the_file_line(tmp_path):
     # line 5 of the file, after the header, three rows and a blank line
     gio.write_dataset(csbm_generate(CsbmConfig(n=6, p_intra=1.0, p_inter=0.0), seed=0), tmp_path)

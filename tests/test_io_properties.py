@@ -270,7 +270,8 @@ def test_bundle_reader_reports_the_first_fault_like_the_loop_reader(name, ds, no
 # --------------------------------------------------------------- edge lists
 
 
-EDGE_WEIGHTS = st.sampled_from((1.0, 2.0, 0.0, -0.0, 5e-324, 1e308, -1.0, float("nan")))
+EDGE_WEIGHTS = st.sampled_from((1.0, 2.0, 0.0, -0.0, 5e-324, 1e308, -1.0, float("nan"),
+                                float("inf"), -float("inf")))
 
 
 @settings(max_examples=400, deadline=None)
@@ -304,9 +305,13 @@ EDGE_LINES = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(EDGE_LINES, max_size=12), st.one_of(st.none(), st.integers(0, 7)))
-def test_edge_list_reader_reports_the_first_fault_like_the_loop_reader(lines, n):
-    with _scratch() as tmp:
+@given(st.lists(EDGE_LINES, max_size=12), st.one_of(st.none(), st.integers(0, 7)),
+       st.sampled_from((1, 3, None)))
+def test_edge_list_reader_reports_the_first_fault_like_the_loop_reader(lines, n, block):
+    # a small block parses the edge lines in several np.loadtxt calls
+    with _scratch() as tmp, pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(gio, "EDGE_BLOCK", block)
         path = tmp / "graph.txt"
         path.write_text("\n".join(lines) + "\n")
         got, ref = _outcome(gio.read_edge_list, path, n), _outcome(ref_read_edge_list, path, n)

@@ -1,4 +1,9 @@
 """Classifier forward pass, loss, exact gradients, and the training loop."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -475,3 +480,27 @@ def test_taped_logits_equal_forward_bit_for_bit(dynamics):
     assert value == plain_value
     for (_, got), (_, want) in zip(grads.fields(), plain_grads.fields()):
         np.testing.assert_array_equal(got, want)
+
+
+_FAULTS_CHILD = """
+import resource
+from grade import CsbmConfig, SolverConfig, TrainConfig, csbm_generate, train
+ds = csbm_generate(CsbmConfig(n=100, p_intra=0.9, p_inter=0.05), seed=1)
+solver = SolverConfig("euler", step=0.5, horizon=1.0)
+train(ds, TrainConfig(solver=solver, epochs=1, hidden=16))  # imports and first touches
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(ds, TrainConfig(solver=solver, epochs=20, hidden=16))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts the page faults of glibc's heap")
+def test_train_does_not_fault_its_tape_in_again_every_epoch():
+    # each epoch frees its whole tape; glibc used to hand it back to the OS, so
+    # 20 epochs at hidden=16 took about 60000 page faults instead of a few
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_CHILD],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2000
