@@ -3,13 +3,14 @@
 Implements exactly the operations the dynamics and the classifier need:
 dense affine maps, elementwise nonlinearities, row gather/scatter and the
 CSR neighbourhood sum :func:`arc_spmm` for edge message passing,
-per-neighborhood softmax, and clamped Euclidean norms for interaction
-kernels. Tensors form a DAG over the nodes that require a gradient; a node
-computed only from constants keeps no parents, so plain evaluation records
-nothing. ``backward`` walks the DAG in reverse topological order and
-accumulates gradients only into nodes that require them, so callers can
-read ``.grad`` off leaf parameters (and off intermediate states when
-chasing a non-finite gradient); constants keep ``.grad`` None.
+per-neighborhood softmax, and per-arc squared distances with clamped
+square roots for interaction kernels. Tensors form a DAG over the nodes
+that require a gradient; a node computed only from constants keeps no
+parents, so plain evaluation records nothing. ``backward`` walks the DAG
+in reverse topological order and accumulates gradients only into nodes
+that require them, so callers can read ``.grad`` off leaf parameters (and
+off intermediate states when chasing a non-finite gradient); constants
+keep ``.grad`` None.
 """
 from __future__ import annotations
 
@@ -34,9 +35,11 @@ __all__ = [
     "reshape",
     "gather_rows",
     "arc_spmm",
+    "arc_sq_distances",
     "segment_sum",
     "segment_softmax",
     "clamped_norm",
+    "clamped_sqrt",
     "take_per_row",
 ]
 
@@ -301,7 +304,7 @@ def gather_rows(a, idx) -> Tensor:
     def backward(g):
         a.grad += _scatter_rows(idx, g, a.data.shape[0])
 
-    return Tensor(a.data[idx], parents=(a,), backward=backward)
+    return Tensor(np.take(a.data, idx, axis=0), parents=(a,), backward=backward)
 
 
 def segment_sum(a, idx, n: int) -> Tensor:
@@ -336,10 +339,32 @@ def arc_spmm(vals, X, g) -> Tensor:
         if X.requires_grad:
             X.grad += g.arc_product(w[g.reverse_arc], grad)
         if vals.requires_grad:
-            dots = np.einsum("ij,ij->i", grad[g.arc_src], X.data[g.arc_dst])
+            dots = np.einsum("ij,ij->i", grad.take(g.arc_src, axis=0),
+                             X.data.take(g.arc_dst, axis=0))
             vals.grad += dots.reshape(vals.data.shape)
 
     return Tensor(g.arc_product(w, X.data), parents=(vals, X), backward=backward)
+
+
+def arc_sq_distances(X, g) -> Tensor:
+    """Squared distance ||x_u - x_v||^2 on every arc of graph ``g``, as a column.
+
+    Each entry equals ``np.sum((x_u - x_v) ** 2)`` bit for bit
+    (:meth:`Graph.arc_sq_distances`). The gradient adds 2 * grad * (x_u - x_v)
+    to row u over the arcs leaving u, then subtracts it from row v through the
+    reverse arcs: the bits of gathering both endpoints, subtracting, squaring
+    and summing each row on the tape.
+    """
+    X = constant(X)
+    sq, diff = g.arc_sq_distances(X.data)
+
+    def backward(grad):
+        w = np.multiply(grad, diff.T, order="C")
+        v = np.add(w, w, out=w)
+        X.grad += g.arc_sum(v)
+        X.grad -= g.arc_sum(v.take(g.reverse_arc, axis=0))  # = adding the negated rows' sum
+
+    return Tensor(sq[:, None], parents=(X,), backward=backward)
 
 
 def segment_softmax(scores, offsets) -> Tensor:
@@ -388,6 +413,21 @@ def clamped_norm(d, floor: float) -> Tensor:
         d.grad += np.where(active, g / safe, 0.0) * d.data
 
     return Tensor(np.maximum(nrm, floor), parents=(d,), backward=backward)
+
+
+def clamped_sqrt(sq, floor: float) -> Tensor:
+    """Elementwise square root of ``sq`` clamped below at ``floor``: the
+    clamped norm of a row whose squared norm is ``sq``, with zero gradient
+    wherever the clamp is active."""
+    sq = constant(sq)
+    r = np.sqrt(sq.data)
+
+    def backward(g):
+        active = r > floor
+        safe = np.where(active, r, 1.0)
+        sq.grad += np.where(active, g / safe, 0.0) * 0.5
+
+    return Tensor(np.maximum(r, floor), parents=(sq,), backward=backward)
 
 
 def take_per_row(a, cols) -> Tensor:

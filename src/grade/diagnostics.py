@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, pairwise_sum
 from .solvers import Trajectory
 
 __all__ = [
@@ -62,8 +62,7 @@ def dirichlet_energy(g: Graph, X: np.ndarray) -> float:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != g.n:
         raise ValueError("state row count must equal node count")
-    diff = X[g.arc_src] - X[g.arc_dst]
-    return float(np.sum(g.arc_weight * np.sum(diff * diff, axis=1)) / g.n)
+    return float(np.sum(g.arc_weight * g.arc_sq_distances(X)[0]) / g.n)
 
 
 def feature_spread(X: np.ndarray) -> float:
@@ -83,33 +82,6 @@ def _square_plane(P: np.ndarray, Q: np.ndarray, k: int) -> np.ndarray:
     return np.multiply(diff, diff, out=diff)
 
 
-def _plane_sum(P: np.ndarray, Q: np.ndarray, lo: int, count: int) -> np.ndarray:
-    """Sum of the squared planes of coordinates [lo, lo + count), added in
-    the order numpy's pairwise summation adds a contiguous row of that
-    length: one by one below 8 terms, in eight interleaved partial sums up
-    to 128, else as the sum of two halves (the first a multiple of 8 long)."""
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        acc = _plane_sum(P, Q, lo, half)
-        acc += _plane_sum(P, Q, lo + half, count - half)
-        return acc
-    end = lo + count
-    if count < 8:
-        acc, tail = _square_plane(P, Q, lo), lo + 1
-    else:
-        tail = end - count % 8
-        r = [_square_plane(P, Q, lo + j) for j in range(8)]
-        for k in range(lo + 8, tail):
-            r[(k - lo) % 8] += _square_plane(P, Q, k)
-        for step in (1, 2, 4):  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-            for j in range(0, 8, 2 * step):
-                r[j] += r[j + step]
-        acc = r[0]
-    for k in range(tail, end):
-        acc += _square_plane(P, Q, k)
-    return acc
-
-
 def _sq_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """(f, m) squared distances between the columns of ``P`` (d, f) and ``Q`` (d, m).
 
@@ -118,7 +90,7 @@ def _sq_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """
     if not len(P):
         return np.zeros((P.shape[1], Q.shape[1]))
-    return _plane_sum(P, Q, 0, len(P))
+    return pairwise_sum(lambda k: _square_plane(P, Q, k), len(P))
 
 
 def _finite(X: np.ndarray) -> np.ndarray:

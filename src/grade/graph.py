@@ -26,6 +26,34 @@ __all__ = [
 ]
 
 
+def pairwise_sum(term, count: int, lo: int = 0) -> np.ndarray:
+    """``term(lo) + ... + term(lo + count - 1)`` for ``count`` >= 1, added in the
+    order numpy's pairwise summation adds a contiguous row of that length: one
+    by one below 8 terms, in eight interleaved partial sums up to 128, else as
+    the sum of two halves (the first a multiple of 8 long). Every ``term(k)``
+    must be a fresh array: the sum accumulates into them."""
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        acc = pairwise_sum(term, half, lo)
+        acc += pairwise_sum(term, count - half, lo + half)
+        return acc
+    end = lo + count
+    if count < 8:
+        acc, tail = term(lo), lo + 1
+    else:
+        tail = end - count % 8
+        r = [term(lo + j) for j in range(8)]
+        for k in range(lo + 8, tail):
+            r[(k - lo) % 8] += term(k)
+        for step in (1, 2, 4):  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+            for j in range(0, 8, 2 * step):
+                r[j] += r[j + step]
+        acc = r[0]
+    for k in range(tail, end):
+        acc += term(k)
+    return acc
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected weighted graph without self-loops or duplicate edges.
@@ -57,16 +85,44 @@ class Graph:
         wd.setflags(write=False)
         return wd
 
-    def arc_matrix(self, values) -> sp.csr_array:
-        """The n x n CSR matrix with ``values`` (one per arc) on the arc table:
-        row pointers ``arc_offsets``, column indices ``arc_dst``."""
+    def arc_matrix(self, values, columns=None, width=None) -> sp.csr_array:
+        """The CSR matrix with ``values`` (one per arc) in row pointers ``arc_offsets``:
+        by default the n x n matrix on the arc table (column indices ``arc_dst``),
+        else ``width`` columns indexed by ``columns``."""
         import scipy.sparse as sp
 
-        return sp.csr_array((values, self.arc_dst, self.arc_offsets), shape=(self.n, self.n))
+        columns = self.arc_dst if columns is None else columns
+        width = self.n if width is None else width
+        return sp.csr_array((values, columns, self.arc_offsets), shape=(self.n, width))
 
     @cached_property
     def _arc_csr(self) -> sp.csr_array:
         return self.arc_matrix(np.zeros(self.arc_dst.size))
+
+    @cached_property
+    def _arc_incidence(self) -> sp.csr_array:
+        m = self.arc_src.size
+        return self.arc_matrix(np.ones(m), np.arange(m), m)
+
+    def arc_sum(self, V: np.ndarray) -> np.ndarray:
+        """Row u sums the rows of ``V`` (one per arc) over the arcs leaving u, in arc
+        order from zero as ``np.bincount`` over ``arc_src`` does: one product with
+        the n x m arc-incidence matrix, built once per graph."""
+        return self._arc_incidence @ V
+
+    def arc_sq_distances(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """||x_u - x_v||^2 on every arc, and the (d, m) planes of x_u - x_v it sums.
+
+        Plane k takes column k of ``X`` over ``arc_src`` and ``arc_dst``; the
+        squared planes are added by :func:`pairwise_sum`, so each distance
+        equals ``np.sum((x_u - x_v) ** 2)`` bit for bit.
+        """
+        Xt = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+        diff = Xt.take(self.arc_src, axis=1)
+        diff -= Xt.take(self.arc_dst, axis=1)
+        if not len(diff):
+            return np.zeros(self.arc_src.size), diff
+        return pairwise_sum(lambda k: diff[k] * diff[k], len(diff)), diff
 
     def arc_product(self, vals: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Row u is the sum over arcs (u, v) of vals[arc] * X[v], added in arc order.
@@ -81,11 +137,15 @@ class Graph:
 
     @cached_property
     def static_arc_coeff(self) -> np.ndarray:
-        """Per-arc row-normalized weight w_uv / sum_l w_ul (needs every sum positive)."""
+        """Per-arc row-normalized weight w_uv / sum_l w_ul (needs every sum positive and finite)."""
         if np.any(self.weighted_degree == 0):
             u = int(np.argmin(self.weighted_degree))
             raise ValueError(f"graph has isolated node {u}" if self.degree[u] == 0
                              else f"node {u} has zero total edge weight")
+        if not np.all(np.isfinite(self.weighted_degree)):
+            u = int(np.argmin(np.isfinite(self.weighted_degree)))
+            raise ValueError(f"node {u} has non-finite total edge weight "
+                             f"{float(self.weighted_degree[u])}")
         coeff = self.arc_weight / self.weighted_degree[self.arc_src]
         coeff.setflags(write=False)
         return coeff

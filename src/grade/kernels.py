@@ -106,27 +106,26 @@ def kernel_scalar(spec: KernelSpec, z) -> float:
     """Evaluate a radial kernel on a single feature difference vector."""
     if spec.kind == "attention":
         raise ValueError("attention kernel is defined at matrix level only")
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64).reshape(1, -1)
     if not np.all(np.isfinite(z)):
         raise ValueError("kernel input must be finite")
-    return float(_kernel(spec, ad.constant(z.reshape(1, -1))).data[0, 0])
+    return float(_kernel(spec, ad.constant((z * z).sum(axis=1, keepdims=True))).data[0, 0])
 
 
-def _log_kernel(spec: KernelSpec, diff: ad.Tensor) -> ad.Tensor:
-    """log kappa of a positive radial kernel on each row of ``diff``, as a column:
-    -|d|^2 / 2b^2 (gaussian) or -(2 + delta) log r (power)."""
+def _log_kernel(spec: KernelSpec, sq: ad.Tensor) -> ad.Tensor:
+    """log kappa of a positive radial kernel on a column of squared distances r^2:
+    -r^2 / 2b^2 (gaussian) or -(2 + delta) log r (power)."""
     if spec.kind == "gaussian":
-        sq = ad.reduce_sum(ad.mul(diff, diff), axis=1)
         return ad.mul(sq, -1.0 / (2.0 * spec.bandwidth ** 2))
-    return ad.mul(ad.log(ad.clamped_norm(diff, spec.singularity_floor)), -(2.0 + spec.delta))
+    return ad.mul(ad.log(ad.clamped_sqrt(sq, spec.singularity_floor)), -(2.0 + spec.delta))
 
 
-def _kernel(spec: KernelSpec, diff: ad.Tensor) -> ad.Tensor:
-    """kappa of a radial kernel on each row of ``diff``, as a column:
+def _kernel(spec: KernelSpec, sq: ad.Tensor) -> ad.Tensor:
+    """kappa of a radial kernel on a column of squared distances r^2:
     exp of the gaussian score, log r, or r^(-2-delta), with r clamped below."""
     if spec.kind == "gaussian":
-        return ad.exp(_log_kernel(spec, diff))
-    r = ad.clamped_norm(diff, spec.singularity_floor)
+        return ad.exp(_log_kernel(spec, sq))
+    r = ad.clamped_sqrt(sq, spec.singularity_floor)
     if spec.kind == "log":
         return ad.log(r)
     return ad.power(r, -2.0 - spec.delta)
@@ -173,17 +172,17 @@ def attention_arc_values(
     return _neighbourhood_softmax(ad.mul(s, 1.0 / scale), g, "attention")
 
 
-def _arc_differences(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
-    """x_u - x_v on every arc, for a radial kernel and one feature row per node."""
+def _arc_sq_distances(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
+    """|x_u - x_v|^2 on every arc, for a radial kernel and one feature row per node."""
     X = _node_rows(X, g)
     if spec.kind == "attention":
         raise ValueError("attention kernel is not radial; use kernel_weights")
-    return ad.sub(ad.gather_rows(X, g.arc_src), ad.gather_rows(X, g.arc_dst))
+    return ad.arc_sq_distances(X, g)
 
 
 def kernel_arc_values(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
     """Differentiable per-arc radial kernel values kappa(x_u - x_v), as a column."""
-    return _kernel(spec, _arc_differences(spec, X, g))
+    return _kernel(spec, _arc_sq_distances(spec, X, g))
 
 
 def normalized_kernel_arc_values(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
@@ -195,11 +194,11 @@ def normalized_kernel_arc_values(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
     when raw row sums underflow. The log kernel has no such form and falls
     back to explicit division, rejecting nonpositive row sums.
     """
-    diff = _arc_differences(spec, X, g)
+    sq = _arc_sq_distances(spec, X, g)
     if spec.kind != "log":
-        return _neighbourhood_softmax(_log_kernel(spec, diff), g,
+        return _neighbourhood_softmax(_log_kernel(spec, sq), g,
                                       f"row-normalized {spec.kind} kernel")
-    vals = _kernel(spec, diff)
+    vals = _kernel(spec, sq)
     sums = ad.segment_sum(vals, g.arc_src, g.n)
     s = sums.data[:, 0]
     bad = np.flatnonzero((g.degree > 0) & ~(np.isfinite(s) & (s > 0)))

@@ -326,8 +326,7 @@ def _clamp_margin(states, g, kernel) -> float:
         return float("inf")
     margin = float("inf")
     for state in states:
-        diff = state[g.arc_src] - state[g.arc_dst]
-        r = np.sqrt(np.sum(diff * diff, axis=1))
+        r = np.sqrt(g.arc_sq_distances(state)[0])
         margin = min(margin, float(np.min(np.abs(r - kernel.singularity_floor))))
     return margin
 

@@ -1,9 +1,11 @@
 """Finite-difference checks for every autodiff primitive."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grade import autodiff as ad
-from grade import from_edge_list
+from grade import dirichlet_energy, from_edge_list
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -251,3 +253,95 @@ def test_gather_rows_backward_adds_in_index_order(rng):
     for i, row in zip(idx, g):
         want[i] += row
     np.testing.assert_array_equal(leaf.grad, want)
+
+
+def test_clamped_sqrt_above_floor(rng):
+    check_unary(lambda t: ad.clamped_sqrt(t, 1e-6), rng.uniform(0.5, 4.0, size=(6, 1)))
+
+
+# ------------------------------------------ arc squared distances, bit for bit
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def arc_states(draw):
+    """(graph, state, rng): graphs with m = 0 and isolated nodes, states of
+    d = 0..20 or d = 131 (past numpy's 128-term pairwise block), at scales
+    10^-6..10^6 per row, with a coincident pair of rows now and then."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    d = draw(st.one_of(st.integers(0, 20), st.just(131)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
+    if n > 1 and draw(st.booleans()):
+        X[1] = X[0]
+    return from_edge_list(n, edges), X, rng
+
+
+def _upstream(rng, m):
+    return rng.normal(size=(m, 1)) * 10.0 ** rng.integers(-8, 9, size=(m, 1))
+
+
+def _taped_sq_distances(X, g):
+    """The per-arc square sum as gather, subtract, square and row-sum tape nodes."""
+    d = ad.sub(ad.gather_rows(X, g.arc_src), ad.gather_rows(X, g.arc_dst))
+    return ad.reduce_sum(ad.mul(d, d), axis=1)
+
+
+def _grad(fn, X, upstream):
+    leaf = ad.parameter(X)
+    ad.reduce_sum(ad.mul(fn(leaf), upstream)).backward()
+    return leaf.grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=arc_states())
+def test_arc_sq_distances_is_the_gathered_square_sum_bit_for_bit(case):
+    g, X, rng = case
+    got = ad.arc_sq_distances(X, g)
+    assert got.data.shape == (g.arc_src.size, 1)
+    want = np.sum((X[g.arc_src] - X[g.arc_dst]) ** 2, axis=1)
+    np.testing.assert_array_equal(_bits(got.data[:, 0]), _bits(want))
+    assert _bits(dirichlet_energy(g, X)) == _bits(np.sum(g.arc_weight * want) / g.n)
+    upstream = _upstream(rng, g.arc_src.size)
+    np.testing.assert_array_equal(
+        _bits(_grad(lambda t: ad.arc_sq_distances(t, g), X, upstream)),
+        _bits(_grad(lambda t: _taped_sq_distances(t, g), X, upstream)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=arc_states())
+def test_arc_sum_is_the_scatter_over_arc_sources_bit_for_bit(case):
+    g, X, rng = case
+    V = rng.normal(size=(g.arc_src.size, X.shape[1])) * 10.0 ** rng.integers(
+        -8, 9, size=(g.arc_src.size, 1))
+    np.testing.assert_array_equal(_bits(g.arc_sum(V)),
+                                  _bits(ad._scatter_rows(g.arc_src, V, g.n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=arc_states(), floor=st.sampled_from((1e-6, 0.5, 3.0)))
+def test_clamped_sqrt_of_arc_sq_distances_is_the_clamped_norm(case, floor):
+    g, X, rng = case
+    sq = ad.arc_sq_distances(X, g)
+    diff = X[g.arc_src] - X[g.arc_dst]
+    np.testing.assert_array_equal(_bits(ad.clamped_sqrt(sq, floor).data),
+                                  _bits(ad.clamped_norm(diff, floor).data))
+    upstream = _upstream(rng, g.arc_src.size)
+    leaf = ad.parameter(sq.data)
+    ad.reduce_sum(ad.mul(ad.clamped_sqrt(leaf, floor), upstream)).backward()
+    assert np.all(leaf.grad[np.sqrt(sq.data) <= floor] == 0.0)
+    np.testing.assert_array_equal(
+        _bits(_grad(lambda t: ad.clamped_sqrt(ad.arc_sq_distances(t, g), floor), X, upstream)),
+        _bits(_grad(lambda t: ad.clamped_norm(
+            ad.sub(ad.gather_rows(t, g.arc_src), ad.gather_rows(t, g.arc_dst)), floor),
+            X, upstream)))
+
+
+def test_gather_rows_rejects_an_out_of_range_index():
+    with pytest.raises(IndexError, match="index 5 is out of bounds for axis 0 with size 3"):
+        ad.gather_rows(np.zeros((3, 2)), [0, 5])

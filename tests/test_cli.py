@@ -344,6 +344,18 @@ def test_bundle_non_finite_edge_weight_exits_one(dataset_dir, tmp_path, capsys, 
     assert f"non-finite weight on edge ({u}, {v})" in err and "Traceback" not in err
 
 
+def test_bundle_total_edge_weight_overflow_exits_one(dataset_dir, tmp_path, capsys):
+    # finite weights whose sum overflows used to give the node a zero diffusion row
+    graph = dataset_dir / "graph.txt"
+    lines = graph.read_text().splitlines(keepends=True)
+    edges = [line.split()[:2] for line in lines[1:]]
+    graph.write_text("".join([lines[0]] + [f"{u} {v} 1e308\n" for u, v in edges]))
+    assert dispatch(["simulate", "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "node 0 has non-finite total edge weight inf" in err and "Traceback" not in err
+
+
 def _corrupt_line(path, lineno):
     """Put byte 0xe9, which no UTF-8 text holds alone, at the start of line ``lineno``."""
     lines = path.read_bytes().splitlines(keepends=True)

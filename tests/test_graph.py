@@ -140,6 +140,13 @@ def test_row_normalized_rejects_a_node_with_zero_total_weight():
         row_normalized_adjacency(from_edge_list(3, [(1, 2)], weights=[0.0]))
 
 
+def test_row_normalized_rejects_a_total_edge_weight_that_overflows():
+    # node 0's weights sum to inf: its row used to read [0, 0, 0], silently
+    g = from_edge_list(3, [(0, 1), (0, 2)], weights=[1e308, 1e308])
+    with pytest.raises(ValueError, match="node 0 has non-finite total edge weight inf"):
+        row_normalized_adjacency(g)
+
+
 @st.composite
 def canonical_edge_lists(draw):
     """(n, edges u < v in (u, v) order, their weights), isolated nodes and m = 0 included."""
