@@ -10,7 +10,7 @@ import json
 import os
 import re
 import warnings
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -66,9 +66,14 @@ def _write_table(path, head: str, row: str, records) -> None:
     """
     with open(path, "w", newline="") as fh:
         fh.write(head)
-        for count, values in records:
-            fh.write((row * count) % values)
-            del values  # so that the next record is built without this one
+        _write_records(fh, row, records)
+
+
+def _write_records(fh, row: str, records) -> None:
+    """The body of ``_write_table``: each record of ``records`` into the open file ``fh``."""
+    for count, values in records:
+        fh.write((row * count) % values)
+        del values  # so that the next record is built without this one
 
 
 def _load_table(path, lead: list[tuple[str, str]], values: str) -> np.ndarray:
@@ -278,14 +283,88 @@ def read_dataset(in_dir) -> Dataset:
 # ------------------------------------------------------------- trajectories
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Long format: one row per (time, node) with columns f0..f{d-1}."""
-    _, n, d = traj.states.shape
+SPLIT_VALUES = 1 << 16  # a trajectory with fewer values is written by one process
+_COPY_CHUNK = 1 << 16  # characters per read when a child's part is appended
+
+
+def write_trajectory_csv(traj: Trajectory, path, workers: int = 1) -> int:
+    """Long format: one row per (time, node) with columns f0..f{d-1}.
+
+    With ``workers`` > 1, ``os.fork`` and at least SPLIT_VALUES values, the
+    records are cut into ``workers`` contiguous ranges (no more than there are
+    records). This process formats the first straight into ``path``; a forked
+    child formats each other range into an unnamed temporary file beside
+    ``path``, which is appended in order once the child has exited. A range
+    whose child could not be forked or failed is formatted here instead, so the
+    bytes are always those of one process. Every child is reaped before this
+    returns or raises. Returns the number of processes that formatted records.
+    """
+    count, n, d = traj.states.shape
     nodes = np.arange(n)
-    _write_table(path, _csv_head("time", "node", *(f"f{j}" for j in range(d))),
-                 "%s,%d" + ",%.17g" * d + "\r\n",
-                 (_rows(np.full(n, "%.17g" % t, dtype=object), nodes, state)
-                  for t, state in zip(traj.times.tolist(), traj.states)))
+    head = _csv_head("time", "node", *(f"f{j}" for j in range(d)))
+    row = "%s,%d" + ",%.17g" * d + "\r\n"
+
+    def records(lo, hi):
+        return (_rows(np.full(n, "%.17g" % t, dtype=object), nodes, state)
+                for t, state in zip(traj.times[lo:hi].tolist(), traj.states[lo:hi]))
+
+    split = hasattr(os, "fork") and traj.states.size >= SPLIT_VALUES
+    workers = min(workers, count) if split else 1
+    if workers <= 1:
+        _write_table(path, head, row, records(0, count))
+        return 1
+
+    import shutil
+    import tempfile
+
+    bounds = [count * k // workers for k in range(workers + 1)]
+    children, running = [], set()  # (pid or None, part, lo, hi) of ranges 1.., unreaped pids
+    with ExitStack() as parts:
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                part = parts.enter_context(
+                    tempfile.TemporaryFile("w+", newline="", dir=Path(path).parent))
+                try:
+                    pid = os.fork()
+                except OSError:
+                    pid = None
+                if pid == 0:
+                    _format_and_exit(part, row, records(lo, hi))
+                if pid:
+                    running.add(pid)
+                children.append((pid, part, lo, hi))
+            with open(path, "w", newline="") as fh:
+                fh.write(head)
+                _write_records(fh, row, records(0, bounds[1]))
+                for pid, part, lo, hi in children:
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid else 1
+                    running.discard(pid)
+                    if code == 0:
+                        part.seek(0)
+                        shutil.copyfileobj(part, fh, _COPY_CHUNK)
+                    else:
+                        _write_records(fh, row, records(lo, hi))
+        finally:
+            for pid in running:
+                os.waitpid(pid, 0)
+    return 1 + sum(1 for pid, *_ in children if pid)
+
+
+def _format_and_exit(part, row: str, records) -> None:
+    """The whole life of a forked writer: ``records`` into ``part``, then exit
+    status 0, or 1 on any fault, without running the parent's exit handlers."""
+    import gc
+
+    # a collection here would copy the parent's heap pages and could run
+    # finalizers of the parent's garbage, which may act on the parent's files
+    gc.disable()
+    code = 1
+    try:
+        _write_records(part, row, records)
+        part.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def read_trajectory_csv(path) -> Trajectory:

@@ -238,6 +238,30 @@ def _dopri5_steps(f, X, cfg: SolverConfig, ratios: list):
             raise NumericalError(f"step size underflow at t={t:.6g}")
 
 
+def _euler_indicator(f, ratios: list):
+    """``f``, also appending to ``ratios`` a free quality indicator of each Euler
+    step but the last: h/2·‖f(X_{k+1}) − f(X_k)‖∞ / max(1, ‖X_{k+1}‖∞).
+
+    h/2·(f(X_{k+1}) − f(X_k)) estimates the step's local error (Hairer, Nørsett
+    and Wanner, *Solving ODEs I*, §II.4) from the values Euler evaluates anyway;
+    h is the time between the two calls. The last step's f(X_{k+1}) is never
+    evaluated, so a one-step run reports none.
+    """
+    previous = None
+
+    def g(X, t):
+        nonlocal previous
+        dX = f(X, t)
+        if previous is not None:
+            t0, dX0 = previous
+            change = float(np.max(np.abs(dX - dX0), initial=0.0))
+            ratios.append((t - t0) / 2 * change / max(1.0, float(np.max(np.abs(X), initial=0.0))))
+        previous = t, dX
+        return dX
+
+    return g
+
+
 def record_trajectory(X0, steps, record_every: int, ratios=()) -> Trajectory:
     """``X0`` at t=0, every ``record_every``-th of the ``(t, X)`` steps, and the last.
 
@@ -262,12 +286,16 @@ def integrate(f, X0: np.ndarray, cfg: SolverConfig) -> Trajectory:
     shortened to land exactly on the horizon; dopri5 adapts its step so the
     embedded error estimate stays within tolerance. Every
     ``record_every``-th accepted state is recorded, plus the final state.
+    ``max_error_ratio`` is dopri5's largest accepted error ratio or euler's
+    largest step-quality indicator (see ``_euler_indicator``); rk4 has none.
     Deterministic for fixed inputs.
     """
     X0 = np.asarray(X0, dtype=np.float64)
     if not np.all(np.isfinite(X0)):
         raise ValueError("initial state must be finite")
     ratios: list[float] = []
+    if cfg.method == "euler":
+        f = _euler_indicator(f, ratios)
     if cfg.method in FIXED_STEP_METHODS:
         steps = ((t, _check_finite(X, t)) for t, X in fixed_steps(f, X0, cfg))
     else:

@@ -2,6 +2,7 @@
 import copy
 import csv
 import json
+import os
 import re
 import runpy
 from pathlib import Path
@@ -235,6 +236,41 @@ def test_bad_threads_env_exits_one(dataset_dir, tmp_path, monkeypatch, capsys):
     assert dispatch(["generate", "--n", "10", "--out", str(tmp_path / "d")]) == 0
     manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
     assert manifest["threads"] == 2
+
+
+def test_simulate_warns_when_euler_steps_over_the_dynamics(dataset_dir, tmp_path, capsys):
+    # the README's default example: euler at step 1 steps over a finite-time blow-up
+    assert dispatch(["simulate", "--dataset", str(dataset_dir), "--out", str(tmp_path / "a")]) == 0
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"warning: max_error_ratio 353 exceeds 1: .*\n", err), err
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert manifest["max_error_ratio"] > 1
+    assert dispatch(["simulate", "--dataset", str(dataset_dir), "--aggregation", "off",
+                     "--activation", "identity", "--step", "0.1",
+                     "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert 0 < manifest["max_error_ratio"] < 1
+    assert dispatch(["simulate", "--dataset", str(dataset_dir), "--method", "rk4",
+                     "--horizon", "1", "--out", str(tmp_path / "c")]) == 0
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert manifest["max_error_ratio"] is None
+
+
+def test_one_thread_simulate_forks_nothing_and_writes_the_same_bytes(dataset_dir, tmp_path,
+                                                                    monkeypatch):
+    monkeypatch.setattr(gio, "SPLIT_VALUES", 0)
+    argv = ["simulate", "--dataset", str(dataset_dir), "--aggregation", "off", "--horizon", "5"]
+    monkeypatch.setenv("GRADE_THREADS", "2")
+    assert dispatch([*argv, "--out", str(tmp_path / "two")]) == 0
+    monkeypatch.setenv("GRADE_THREADS", "1")
+    monkeypatch.setattr(os, "fork", None)  # calling it would raise TypeError
+    assert dispatch([*argv, "--out", str(tmp_path / "one")]) == 0
+    one, two = (json.loads((tmp_path / k / "manifest.json").read_text()) for k in ("one", "two"))
+    assert one["writer_processes"] == 1
+    assert two["writer_processes"] == min(2, len(os.sched_getaffinity(0)))
+    assert ((tmp_path / "one" / "trajectory.csv").read_bytes()
+            == (tmp_path / "two" / "trajectory.csv").read_bytes())
 
 
 def test_config_max_steps_is_honoured(dataset_dir, tmp_path, capsys):

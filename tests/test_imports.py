@@ -1,6 +1,7 @@
 """Cold start and structure: only commands that build a sparse matrix import
-scipy (``generate`` and ``energy --trajectory`` build none), and only one
-place in the source builds that matrix."""
+scipy (``generate`` and ``energy --trajectory`` build none), neither they nor
+``import grade.cli`` load a process-pool module (scipy itself loads
+``concurrent.futures``), and only one place in the source builds that matrix."""
 import ast
 import os
 import subprocess
@@ -19,9 +20,15 @@ from grade.solvers import Trajectory
 def scipy_loaded():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
+def pools_loaded():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] in ("multiprocessing", "concurrent"))
+
 out = sys.argv[1]
+assert pools_loaded() == [], pools_loaded()
 assert dispatch(["generate", "--n", "20", "--seed", "3", "--out", out + "/ds"]) == 0
 assert scipy_loaded() == [], scipy_loaded()
+assert pools_loaded() == [], pools_loaded()
 X = io.read_dataset(out + "/ds").features
 io.write_trajectory_csv(Trajectory(np.array([0.0, 1.0]), np.stack([X, 0.5 * X]), 1),
                         out + "/trajectory.csv")

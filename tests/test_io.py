@@ -1,5 +1,6 @@
 """Round-trips for every file format the engine reads or writes."""
 import json
+import os
 import tracemalloc
 import warnings
 
@@ -18,6 +19,8 @@ from grade import (
 )
 from grade import io as gio
 from grade.training import EpochMetrics
+
+from _oracles import ref_write_trajectory_csv
 
 
 def test_edge_list_roundtrip(tmp_path):
@@ -212,8 +215,96 @@ def test_trajectory_writer_streams_one_record_at_a_time(tmp_path):
     assert peak < 2 * 2**20
 
 
+def test_split_trajectory_writer_streams_too(tmp_path):
+    # this process formats its range and appends the children's parts in chunks
+    rng = np.random.default_rng(5)
+    traj = Trajectory(np.linspace(0.0, 40.0, 63), rng.normal(size=(63, 2000, 2)), 62)
+    assert traj.states.size >= gio.SPLIT_VALUES
+    tracemalloc.start()
+    try:
+        assert gio.write_trajectory_csv(traj, tmp_path / "t.csv", workers=2) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "t.csv").stat().st_size > 5 * 2**20
+    assert peak < 2 * 2**20
+
+
 def test_csv_rows_end_in_crlf_and_edge_list_lines_in_lf(tmp_path):
     ds = csbm_generate(CsbmConfig(n=4, p_intra=1.0, p_inter=0.0), seed=0)
     gio.write_dataset(ds, tmp_path)
     assert (tmp_path / "labels.csv").read_bytes().startswith(b"node,label\r\n0,0\r\n")
     assert (tmp_path / "graph.txt").read_bytes() == b"# nodes: 4\n0 1 1\n2 3 1\n"
+
+
+@pytest.fixture
+def split_writer(monkeypatch):
+    """Every trajectory is split between processes, however small."""
+    monkeypatch.setattr(gio, "SPLIT_VALUES", 0)
+
+
+def _writer_traj():
+    rng = np.random.default_rng(11)
+    return Trajectory(np.linspace(0.0, 1.0, 7), rng.normal(size=(7, 5, 2)), 6)
+
+
+def _write_faulting(monkeypatch, in_parent: bool):
+    """Make ``_write_records`` raise in this process (``in_parent``) or in a
+    forked writer, after writing its whole range."""
+    parent, write = os.getpid(), gio._write_records
+
+    def faulty(fh, row, records):
+        write(fh, row, records)
+        if (os.getpid() == parent) == in_parent:
+            fh.flush()
+            raise OSError("writer fault")
+
+    monkeypatch.setattr(gio, "_write_records", faulty)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_trajectory_writer_reaps_its_children(tmp_path, split_writer):
+    traj = _writer_traj()
+    assert gio.write_trajectory_csv(traj, tmp_path / "split.csv", workers=3) == 3
+    _assert_no_child_left()
+    ref_write_trajectory_csv(traj, tmp_path / "ref.csv")
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_failed_writer_child_range_is_formatted_by_the_parent(tmp_path, monkeypatch,
+                                                              split_writer):
+    traj = _writer_traj()
+    _write_faulting(monkeypatch, in_parent=False)
+    gio.write_trajectory_csv(traj, tmp_path / "split.csv", workers=3)
+    _assert_no_child_left()
+    ref_write_trajectory_csv(traj, tmp_path / "ref.csv")
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_parent_writer_fault_still_reaps_every_child(tmp_path, monkeypatch, split_writer):
+    _write_faulting(monkeypatch, in_parent=True)
+    with pytest.raises(OSError, match="writer fault"):
+        gio.write_trajectory_csv(_writer_traj(), tmp_path / "split.csv", workers=4)
+    _assert_no_child_left()
+
+
+def test_writer_formats_every_range_itself_when_fork_fails(tmp_path, monkeypatch, split_writer):
+    def no_fork():
+        raise BlockingIOError("no process left")
+
+    traj = _writer_traj()
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert gio.write_trajectory_csv(traj, tmp_path / "split.csv", workers=3) == 1
+    ref_write_trajectory_csv(traj, tmp_path / "ref.csv")
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_small_trajectory_is_written_without_forking(tmp_path, monkeypatch):
+    traj = _writer_traj()
+    assert traj.states.size < gio.SPLIT_VALUES
+    monkeypatch.setattr(os, "fork", None)  # calling it would raise TypeError
+    assert gio.write_trajectory_csv(traj, tmp_path / "t.csv", workers=4) == 1

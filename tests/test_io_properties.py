@@ -133,6 +133,19 @@ def test_trajectory_writer_bytes_match_csv_module(traj):
         assert _sha(tmp / "new.csv") == _sha(tmp / "ref.csv")
 
 
+@settings(max_examples=30, deadline=None)
+@given(trajectories(values=ANY_FLOAT))
+def test_split_trajectory_writer_bytes_match_csv_module(traj):
+    # up to 4 records, so some worker counts exceed the records
+    with _scratch() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gio, "SPLIT_VALUES", 0)
+        ref_write_trajectory_csv(traj, tmp / "ref.csv")
+        for workers in range(1, 5):
+            used = gio.write_trajectory_csv(traj, tmp / f"{workers}.csv", workers=workers)
+            assert used == min(workers, len(traj.times))
+            assert _sha(tmp / f"{workers}.csv") == _sha(tmp / "ref.csv")
+
+
 @settings(max_examples=100, deadline=None)
 @given(datasets())
 def test_dataset_writer_bytes_match_csv_module(ds):

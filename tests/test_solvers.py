@@ -270,3 +270,30 @@ def test_dopri5_record_every_keeps_start_every_third_step_and_end():
     np.testing.assert_array_equal(third.states, every.states[keep])
     assert third.step_count == last
     assert third.max_error_ratio == every.max_error_ratio
+
+
+def test_euler_reports_its_free_step_quality_indicator():
+    calls = []
+
+    def decay(X, t):
+        calls.append(t)
+        return -X
+
+    traj = integrate(decay, np.ones((2, 1)), SolverConfig("euler", step=0.5, horizon=2.0))
+    assert len(calls) == traj.step_count == 4  # no extra RHS evaluation
+    # X_k = 0.5^k, so step k's indicator is 0.25 * 0.5^(k+1) / 1; the last step has none
+    assert traj.max_error_ratio == 0.125
+    one_step = integrate(decay, np.ones((2, 1)), SolverConfig("euler", step=1.0, horizon=1.0))
+    assert one_step.max_error_ratio is None
+
+
+def test_euler_indicator_is_relative_to_large_states():
+    traj = integrate(lambda X, t: -X, np.full((1, 1), 8.0), SolverConfig("euler", step=0.5,
+                                                                          horizon=1.0))
+    assert traj.max_error_ratio == 0.25 * 4.0 / 4.0  # h/2 · |f(X_1) − f(X_0)| / |X_1|
+    np.testing.assert_array_equal(traj.states[:, 0, 0], [8.0, 4.0, 2.0])
+
+
+def test_rk4_reports_no_error_ratio():
+    traj = integrate(lambda X, t: -X, np.ones((2, 1)), SolverConfig("rk4", step=0.5, horizon=2.0))
+    assert traj.max_error_ratio is None
