@@ -303,6 +303,30 @@ def test_writer_formats_every_range_itself_when_fork_fails(tmp_path, monkeypatch
     assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_interrupted_writer_child_exits_instead_of_returning(tmp_path, monkeypatch, split_writer):
+    # an interrupt before the child starts writing (SIGINT reaches the whole
+    # process group) must end the child, not unwind it into the caller's code
+    parent, disable = os.getpid(), gio.gc.disable
+
+    def interrupted():
+        if os.getpid() != parent:
+            raise KeyboardInterrupt
+        disable()
+
+    monkeypatch.setattr(gio.gc, "disable", interrupted)
+    traj = _writer_traj()
+    try:
+        assert gio.write_trajectory_csv(traj, tmp_path / "split.csv", workers=2) == 2
+    finally:
+        if os.getpid() != parent:  # a child got here: leave a mark and end it
+            (tmp_path / "escaped").touch()
+            os._exit(0)
+    _assert_no_child_left()
+    assert not (tmp_path / "escaped").exists()
+    ref_write_trajectory_csv(traj, tmp_path / "ref.csv")
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_small_trajectory_is_written_without_forking(tmp_path, monkeypatch):
     traj = _writer_traj()
     assert traj.states.size < gio.SPLIT_VALUES
