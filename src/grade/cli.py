@@ -28,7 +28,7 @@ from .training import TrainConfig, gradient_check, train
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
-STEP_QUALITY_BOUND = 1.0  # simulate warns when max_error_ratio exceeds it
+STEP_QUALITY_BOUND = 1.0  # an integrating command warns when max_error_ratio exceeds it
 _ON_OFF = {"on": True, "off": False}
 
 
@@ -47,12 +47,6 @@ def _threads() -> int | None:
     if not raw.strip().isdigit() or int(raw) < 1:
         raise ValueError(f"GRADE_THREADS must be an integer >= 1, got {raw!r}")
     return int(raw)
-
-
-def _workers() -> int:
-    """Processes a command may use: the CPUs it may run on, capped by GRADE_THREADS."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(_threads() or cpus, cpus)
 
 
 def _load_config(path) -> dict:
@@ -160,6 +154,16 @@ def _run_simulation(args):
     return ds, config, traj
 
 
+def _step_quality(traj) -> dict:
+    """The manifest's step-quality key, null for a recorded trajectory; warns above the bound."""
+    ratio = traj.max_error_ratio
+    if ratio is not None and ratio > STEP_QUALITY_BOUND:
+        print(f"warning: max_error_ratio {ratio:.3g} exceeds {STEP_QUALITY_BOUND:g}: the "
+              "step does not resolve the dynamics, so the trajectory may not solve the ODE "
+              "(try a smaller --step)", file=sys.stderr)
+    return {"max_error_ratio": ratio}
+
+
 def _cmd_generate(args) -> int:
     started = time.time()
     cfg = CsbmConfig(**_merge(_flags(args, asdict(CsbmConfig()))))
@@ -178,14 +182,10 @@ def _cmd_simulate(args) -> int:
     ds, config, traj = _run_simulation(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    writers = gio.write_trajectory_csv(traj, out / "trajectory.csv", workers=_workers())
+    gio.write_trajectory_csv(traj, out / "trajectory.csv")
     gio.write_manifest(out, {**_manifest(
         "simulate", config, None, [str(args.dataset)], ["trajectory.csv"], started,
-    ), "max_error_ratio": traj.max_error_ratio, "writer_processes": writers})
-    if traj.max_error_ratio is not None and traj.max_error_ratio > STEP_QUALITY_BOUND:
-        print(f"warning: max_error_ratio {traj.max_error_ratio:.3g} exceeds "
-              f"{STEP_QUALITY_BOUND:g}: the step does not resolve the dynamics, so the "
-              "trajectory may not solve the ODE (try a smaller --step)", file=sys.stderr)
+    ), **_step_quality(traj)})
     print(f"integrated to T={config['horizon']} with {traj.step_count} steps; "
           f"{len(traj.times)} records -> {out / 'trajectory.csv'}")
     return 0
@@ -235,9 +235,9 @@ def _cmd_energy(args) -> int:
                            profile.counts, extra=summary)
     config.update({"eps": eps, "energy_floor_rel": args.energy_floor,
                    "spread_floor": args.spread_floor})
-    gio.write_manifest(out, _manifest(
+    gio.write_manifest(out, {**_manifest(
         "energy", config, None, inputs, ["energy.csv", "verdict.json"], started,
-    ))
+    ), **_step_quality(traj)})
     print(f"verdict: {verdict} (final energy {energies[-1]:.3e}, spread {spreads[-1]:.3e})")
     return 0
 

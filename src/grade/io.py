@@ -1,19 +1,16 @@
 """File formats: edge-list text, dataset bundles, trajectory CSV, checkpoints.
 
-Numeric CSV output uses 17 significant digits so doubles round-trip
-exactly. Manifests are written atomically (temp file + rename) next to the
-outputs they describe.
+Numeric text has the bytes of ``'%.17g'`` (doubles round-trip) and ``'%d'``.
+Manifests are written atomically (temp file + rename) next to the outputs
+they describe.
 """
 from __future__ import annotations
 
-import gc
 import json
 import os
 import re
-import shutil
-import tempfile
 import warnings
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -50,33 +47,146 @@ def _csv_head(*names: str) -> str:
     return ",".join(names) + "\r\n"
 
 
-def _rows(*columns) -> tuple[int, tuple]:
-    """One record of a table: its row count and every value, row by row.
+# ------------------------------------------------------------- text encoder
+# One numpy encoder writes every table, a block of rows at a time, laid out as
+# byte planes: one per character position of a row, rows along the last axis,
+# and 0 where a value's text has no character. One transposed copy of the
+# planes, without its zero bytes, is the text.
 
-    A column is an (r,) or (r, k) array or sequence; values come out as
-    Python numbers (or strings), the way ``tolist`` gives them.
+_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10^0..10^22, each exact as a double
+_TENS = 10 ** np.arange(1, 20, dtype=np.uint64)
+_AT = np.arange(20, dtype=np.int8)[:, None]  # the index of each plane of a slot region
+# the text around the digits, by exponent from -6 to 17: "0.00" before, or "e-05" after
+_AROUND = np.array([("0." + "0" * (-1 - e) if -4 <= e < 0 else "").ljust(5, "\0")
+                    + ("e%+03d" % e if e < -4 or e > 16 else "") for e in range(-6, 18)],
+                   dtype="S9").view(np.uint8).reshape(-1, 9).T
+BLOCK_VALUES = 1 << 13  # values encoded at a time, so memory stays bounded for any table
+
+
+def _split(x: np.ndarray, scales) -> list:
+    """``x`` in the mixed radix of the descending ``scales``: the quotients, then the rest."""
+    parts = []
+    for scale in scales:
+        parts.append(x // scale)
+        x = x - parts[-1] * scale
+    return parts + [x]
+
+
+def _digits(n: np.ndarray, places: int) -> np.ndarray:
+    """The ``places`` (a multiple of 4) low digits of each integer of ``n``, as ASCII planes."""
+    scales = map(n.dtype.type, 10 ** np.arange(places - 4, 0, -4, dtype=np.uint64))
+    quads = np.stack(_split(n, scales), axis=1).astype(np.int16)  # of four digits each
+    pairs = np.stack(_split(quads, [100]), axis=2).astype(np.uint8)
+    digits = np.stack(_split(pairs, [10]), axis=3)
+    return digits.reshape(n.shape[0], places, n.shape[1]) + np.uint8(ord("0"))
+
+
+def _halves(a: np.ndarray):
+    """Veltkamp's split of each double into two halves of 26 bits that sum to it exactly."""
+    c = a * 134217729.0  # 2^27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _float_planes(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``'%.17g' % v`` of each double v of ``x`` (k, m) into the planes ``out[:, :28]``.
+
+    The 17 significant digits of |x| are the integer N nearest |x|·10^k with
+    k = 16 − ⌊log10|x|⌋. For 0 ≤ k ≤ 22, 10^k is an exact double, and Dekker's
+    product gives |x|·10^k = hi + lo exactly. hi is an even integer above 2^53,
+    so hi + rint(lo) is N rounded half to even, as CPython rounds. N is used
+    only when hi + lo itself lies in [10^16, 10^17), and it never rounds up to
+    10^17: for these k, no double times 10^k lies within 8 below it. Every
+    other value (zeros, non-finite values, exponents outside [−6, 16] and
+    misjudged ones) is formatted by CPython.
+
+    A slot is the sign, the "0.000" before the digits of a number below 1,
+    18 planes that hold the digits with the point among them, and the exponent.
     """
-    table = np.column_stack([np.asarray(c).astype(object) for c in columns])
-    return len(table), tuple(table.ravel())
+    a = np.abs(x)
+    with np.errstate(divide="ignore"):
+        e = np.floor(np.log10(a))
+    fast = (e >= -6) & (e <= 16)
+    k = np.where(fast, 16 - e, 0).astype(np.int8)
+    a, b = np.where(fast, a, 1.0), _POW10[k]
+    hi = a * b
+    (ah, al), (bh, bl) = _halves(a), _halves(b)
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    fast &= (hi < 1e17) & ((hi > 1e16) | (hi == 1e16) & (lo >= 0))
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    exp = 16 - k
+    # %g: fixed notation for exponents in [-4, 17), scientific otherwise
+    point = (exp * ((exp >= -4) & (exp <= 16)))[:, None]  # the digit the point follows
+    digits = np.zeros((x.shape[0], 19, x.shape[1]), np.uint8)  # a 0 on either side
+    digits[:, 1:18] = _digits(n, 20)[:, 3:]
+    last = np.maximum(((digits[:, 1:18] != ord("0")) * _AT[:17]).max(axis=1, keepdims=True),
+                      point)  # the last digit written: trailing zeros are stripped
+    inner = (point >= 0) & (point < last)  # the point falls among the digits
+    point = np.where(inner, point, np.int8(17))
+    at, region, before = _AT[:18], out[:, 6:24], digits[:, :18]
+    # a plane holds its own digit up to the point, then the point, then the digit before its own
+    np.bitwise_xor(before, (digits[:, 1:] ^ before) * (at <= point), out=region)
+    region ^= (region ^ np.uint8(ord("."))) * (at == point + 1)
+    region *= at <= last + inner
+    out[:, 0] = (x < 0) * np.uint8(ord("-"))
+    around = np.take(_AROUND, exp + 6, axis=1).swapaxes(0, 1)
+    out[:, 1:6], out[:, 24:28] = around[:, :5], around[:, 5:]
+    if not fast.all():
+        at = np.nonzero(~fast)
+        text = np.array(["%.17g" % v for v in x[at].tolist()], dtype="S28")
+        out[at[0], :28, at[1]] = text.view(np.uint8).reshape(-1, 28)
 
 
-def _write_table(path, head: str, row: str, records) -> None:
-    """Every CSV file and the edge list: ``head``, then each record of ``records``.
+def _int_planes(i: np.ndarray, out: np.ndarray) -> None:
+    """Write ``'%d' % v`` of each int64 v of ``i`` (k, m) into the zeroed planes ``out[:, :21]``."""
+    u = np.abs(i).view(np.uint64)  # |i|, also for the most negative int64
+    width = np.searchsorted(_TENS, u, side="right")[:, None]  # digits - 1
+    places = 4 + 4 * (int(width.max(initial=0)) // 4)  # the 4-digit groups of the widest
+    out[:, 0] = (i < 0) * np.uint8(ord("-"))
+    out[:, 21 - places:21] = _digits(u, places) * (_AT[20 - places:] >= 19 - width)
 
-    A record is a row count and a tuple of that many rows' values (see ``_rows``),
-    written with the %-template ``row`` repeated once per row; floats use
-    ``%.17g`` so doubles round-trip. Only one record is in memory at a time.
+
+def _text(columns, sep: bytes, end: bytes) -> bytes:
+    """One block of rows (see ``_write_table``)."""
+    columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    m, planes = len(columns[0]), []
+    for c in columns:
+        if c.dtype.kind == "S":  # one column of text, as it is
+            slots = np.empty((1, c.itemsize + 1, m), np.uint8)
+            slots[0, :-1] = c.view(np.uint8).T
+        else:
+            put, width, dtype = ((_float_planes, 28, np.float64) if c.dtype.kind == "f"
+                                 else (_int_planes, 21, np.int64))
+            slots = np.zeros((c.shape[1], width + 1, m), np.uint8)
+            put(c.T.astype(dtype, copy=False), slots)
+        slots[:, -1] = sep[0]
+        planes.append(slots.reshape(-1, m))
+    planes.append(np.broadcast_to(np.frombuffer(end, np.uint8)[:, None], (len(end), m)))
+    block = np.concatenate(planes)
+    keep = block.any(axis=1)  # planes no row uses are dropped before the transposed copy,
+    keep[-1 - len(end)] = False  # and so is the separator after the last value
+    return block[keep].T.tobytes().translate(None, b"\0")
+
+
+def _write_table(path, head: str, rows: int, block, sep: str = ",", end: str = "\r\n") -> None:
+    """Every CSV file and the edge list: ``head``, then ``rows`` rows.
+
+    ``block(lo, hi)`` gives the columns of rows ``lo`` to ``hi`` - 1, each an (r,) or
+    (r, k) array: floats are written as ``%.17g``, bytes as they are, other values as
+    ``%d``. A row is its values joined by ``sep``, then ``end``. Rows are encoded
+    BLOCK_VALUES values at a time, so memory stays bounded for any table.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(head)
-        _write_records(fh, row, records)
+    step = max(1, BLOCK_VALUES // sum(np.shape(c)[1] if np.ndim(c) > 1 else 1
+                                      for c in block(0, 0)))
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
+        for lo in range(0, rows, step):
+            fh.write(_text(block(lo, min(lo + step, rows)), sep.encode(), end.encode()))
 
 
-def _write_records(fh, row: str, records) -> None:
-    """The body of ``_write_table``: each record of ``records`` into the open file ``fh``."""
-    for count, values in records:
-        fh.write((row * count) % values)
-        del values  # so that the next record is built without this one
+def _columns(*columns):
+    """``_write_table``'s row count and blocks for a table of whole ``columns``."""
+    return len(columns[0]), lambda lo, hi: [c[lo:hi] for c in columns]
 
 
 def _load_table(path, lead: list[tuple[str, str]], values: str) -> np.ndarray:
@@ -191,8 +301,8 @@ def _node_order(node: np.ndarray, record: np.ndarray, n: int, where) -> np.ndarr
 
 def write_edge_list(g: Graph, path) -> None:
     """One `u v weight` triple per line, 0-based ids, `#` comments allowed."""
-    _write_table(path, f"# nodes: {g.n}\n", "%d %d %.17g\n",
-                 [_rows(g.edge_u, g.edge_v, g.edge_weight)])
+    _write_table(path, f"# nodes: {g.n}\n", *_columns(g.edge_u, g.edge_v, g.edge_weight),
+                 sep=" ", end="\n")
 
 
 _EDGE = np.dtype([("u", "i8"), ("v", "i8"), ("w", "f8")])
@@ -249,11 +359,10 @@ def write_dataset(ds: Dataset, out_dir) -> None:
 
     nodes, d = np.arange(ds.graph.n), ds.features.shape[1]
     _write_table(out / "features.csv", _csv_head("node", *(f"f{j}" for j in range(d))),
-                 "%d" + ",%.17g" * d + "\r\n", [_rows(nodes, ds.features)])
-    _write_table(out / "labels.csv", _csv_head("node", "label"), "%d,%d\r\n",
-                 [_rows(nodes, ds.labels)])
-    _write_table(out / "masks.csv", _csv_head("node", "train", "val", "test"), "%d,%d,%d,%d\r\n",
-                 [_rows(nodes, ds.train_mask, ds.val_mask, ds.test_mask)])
+                 *_columns(nodes, ds.features))
+    _write_table(out / "labels.csv", _csv_head("node", "label"), *_columns(nodes, ds.labels))
+    _write_table(out / "masks.csv", _csv_head("node", "train", "val", "test"),
+                 *_columns(nodes, ds.train_mask, ds.val_mask, ds.test_mask))
 
 
 def _read_table(path, n: int, values: str, width: int | None = None) -> np.ndarray:
@@ -286,88 +395,17 @@ def read_dataset(in_dir) -> Dataset:
 # ------------------------------------------------------------- trajectories
 
 
-# A trajectory with fewer values is written by one process. Measured on a 2-CPU
-# VM (n=2000, d=2): two writers take 0.61× one writer's time at 2^16 values
-# when the other CPU is idle, and 0.95× when it is busy; at 2^15 values a busy
-# CPU makes them 1.17× slower, as the fork and the appended copy cost a fixed
-# few milliseconds.
-SPLIT_VALUES = 1 << 16
-
-
-def write_trajectory_csv(traj: Trajectory, path, workers: int = 1) -> int:
-    """Long format: one row per (time, node) with columns f0..f{d-1}.
-
-    With ``workers`` > 1, ``os.fork`` and at least SPLIT_VALUES values, the
-    records are cut into ``workers`` contiguous ranges (no more than there are
-    records). This process formats the first straight into ``path``; a forked
-    child formats each other range into an unnamed temporary file beside
-    ``path``, which is appended in order once the child has exited. A range
-    whose child could not be forked or failed is formatted here instead, so the
-    bytes are always those of one process. Every child is reaped before this
-    returns or raises. Returns the number of processes that formatted records.
-    """
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Long format: one row per (time, node) with columns f0..f{d-1}."""
     count, n, d = traj.states.shape
-    nodes = np.arange(n)
-    row = "%s,%d" + ",%.17g" * d + "\r\n"
+    times = np.array(["%.17g" % t for t in traj.times.tolist()], dtype=bytes)
+    states = traj.states.reshape(count * n, d)
 
-    def records(lo, hi):
-        return (_rows(np.full(n, "%.17g" % t, dtype=object), nodes, state)
-                for t, state in zip(traj.times[lo:hi].tolist(), traj.states[lo:hi]))
+    def block(lo, hi):
+        record, node = np.divmod(np.arange(lo, hi), max(n, 1))
+        return [times[record], node, states[lo:hi]]
 
-    split = hasattr(os, "fork") and traj.states.size >= SPLIT_VALUES
-    workers = min(workers, count) if split else 1
-    bounds = [count * k // workers for k in range(workers + 1)]
-    children, running = [], set()  # (pid or None, part, lo, hi) of ranges 1.., unreaped pids
-    with ExitStack() as parts:
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                part = parts.enter_context(
-                    tempfile.TemporaryFile("w+", newline="", dir=Path(path).parent))
-                try:
-                    pid = _fork_writer(part, row, records(lo, hi))
-                    running.add(pid)
-                except OSError:
-                    pid = None
-                children.append((pid, part, lo, hi))
-            with open(path, "w", newline="") as fh:
-                fh.write(_csv_head("time", "node", *(f"f{j}" for j in range(d))))
-                _write_records(fh, row, records(0, bounds[1]))
-                for pid, part, lo, hi in children:
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid else 1
-                    running.discard(pid)
-                    if code == 0:
-                        part.seek(0)
-                        shutil.copyfileobj(part, fh)
-                    else:
-                        _write_records(fh, row, records(lo, hi))
-        finally:
-            for pid in running:
-                os.waitpid(pid, 0)
-    return 1 + sum(1 for pid, *_ in children if pid)
-
-
-def _fork_writer(part, row: str, records) -> int:
-    """Fork a child that writes ``records`` into ``part``; return its pid.
-
-    The fork happens inside the child's guard, so the child leaves only through
-    ``os._exit``: status 0 once ``part`` is flushed, 1 on any exception (a
-    KeyboardInterrupt included). It never returns into the caller's code or runs
-    the parent's exit handlers.
-    """
-    parent, code = os.getpid(), 1
-    try:
-        pid = os.fork()
-        if pid == 0:
-            # a collection here would copy the parent's heap pages and could run
-            # finalizers of the parent's garbage, which may act on the parent's files
-            gc.disable()
-            _write_records(part, row, records)
-            part.flush()
-            code = 0
-    finally:
-        if os.getpid() != parent:
-            os._exit(code)
-    return pid
+    _write_table(path, _csv_head("time", "node", *(f"f{j}" for j in range(d))), len(states), block)
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -397,7 +435,8 @@ def read_trajectory_csv(path) -> Trajectory:
 def write_energy_csv(path, times, energy, spread, cluster_counts) -> None:
     """One row per record: time, Dirichlet energy, spread and cluster count."""
     _write_table(path, _csv_head("time", "energy", "spread", "cluster_count"),
-                 "%.17g,%.17g,%.17g,%d\r\n", [_rows(times, energy, spread, cluster_counts)])
+                 *_columns(*(np.asarray(c, np.float64) for c in (times, energy, spread)),
+                           np.asarray(cluster_counts, np.int64)))
 
 
 def write_summary_json(path, times, energy, spread, cluster_counts, extra=None) -> None:
@@ -442,9 +481,9 @@ def read_checkpoint(path) -> tuple[ModelParams, DynamicsConfig, SolverConfig]:
 
 
 def write_metrics_csv(path, metrics: list[EpochMetrics]) -> None:
-    values = tuple(x for m in metrics for x in (m.epoch, m.loss, m.val_acc, m.test_acc))
-    _write_table(path, _csv_head("epoch", "loss", "val_acc", "test_acc"),
-                 "%d,%.17g,%.17g,%.17g\r\n", [(len(metrics), values)])
+    epochs = np.array([m.epoch for m in metrics], np.int64)
+    scores = np.array([(m.loss, m.val_acc, m.test_acc) for m in metrics], np.float64)
+    _write_table(path, _csv_head("epoch", "loss", "val_acc", "test_acc"), *_columns(epochs, scores))
 
 
 # ---------------------------------------------------------------- manifest

@@ -16,6 +16,8 @@ from grade import Dataset, DynamicsConfig, KernelSpec, SolverConfig, TrainConfig
 from grade.cli import _merge, _resolve, _unread, build_parser, dispatch
 from grade import io as gio
 
+from _oracles import ref_write_trajectory_csv
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -259,18 +261,62 @@ def test_simulate_warns_when_euler_steps_over_the_dynamics(dataset_dir, tmp_path
 
 def test_one_thread_simulate_forks_nothing_and_writes_the_same_bytes(dataset_dir, tmp_path,
                                                                     monkeypatch):
-    monkeypatch.setattr(gio, "SPLIT_VALUES", 0)
     argv = ["simulate", "--dataset", str(dataset_dir), "--aggregation", "off", "--horizon", "5"]
-    monkeypatch.setenv("GRADE_THREADS", "2")
-    assert dispatch([*argv, "--out", str(tmp_path / "two")]) == 0
+    monkeypatch.delenv("GRADE_THREADS", raising=False)
+    assert dispatch([*argv, "--out", str(tmp_path / "unset")]) == 0
     monkeypatch.setenv("GRADE_THREADS", "1")
     monkeypatch.setattr(os, "fork", None)  # calling it would raise TypeError
     assert dispatch([*argv, "--out", str(tmp_path / "one")]) == 0
-    one, two = (json.loads((tmp_path / k / "manifest.json").read_text()) for k in ("one", "two"))
-    assert one["writer_processes"] == 1
-    assert two["writer_processes"] == min(2, len(os.sched_getaffinity(0)))
+    for run in ("unset", "one"):
+        assert "writer_processes" not in json.loads((tmp_path / run / "manifest.json").read_text())
     assert ((tmp_path / "one" / "trajectory.csv").read_bytes()
-            == (tmp_path / "two" / "trajectory.csv").read_bytes())
+            == (tmp_path / "unset" / "trajectory.csv").read_bytes())
+
+
+def test_simulate_writes_a_long_trajectory_without_a_child_process(dataset_dir, tmp_path,
+                                                                   monkeypatch):
+    # 401 records of 100 nodes, with GRADE_THREADS unset and every CPU allowed
+    def no_fork():
+        raise AssertionError("simulate forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.delenv("GRADE_THREADS", raising=False)
+    assert dispatch(["simulate", "--dataset", str(dataset_dir), "--aggregation", "off",
+                     "--activation", "identity", "--step", "0.01", "--horizon", "4",
+                     "--out", str(tmp_path / "run")]) == 0
+    path = tmp_path / "run" / "trajectory.csv"
+    traj = gio.read_trajectory_csv(path)
+    assert traj.states.size > 2 ** 16
+    ref_write_trajectory_csv(traj, tmp_path / "ref.csv")
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_energy_warns_like_simulate_when_it_integrates(dataset_dir, tmp_path, capsys):
+    # energy without --trajectory integrates as simulate does, so it records
+    # and warns the same way
+    assert dispatch(["simulate", "--dataset", str(dataset_dir), "--out", str(tmp_path / "s")]) == 0
+    warned = capsys.readouterr().err
+    assert dispatch(["energy", "--dataset", str(dataset_dir), "--out", str(tmp_path / "e")]) == 0
+    assert capsys.readouterr().err == warned
+    assert re.fullmatch(r"warning: max_error_ratio \d+ exceeds 1: .*\n", warned), warned
+    ratio = [json.loads((tmp_path / run / "manifest.json").read_text())["max_error_ratio"]
+             for run in ("s", "e")]
+    assert ratio[0] == ratio[1] > 1
+
+
+def test_energy_is_silent_when_the_step_resolves_the_dynamics(dataset_dir, tmp_path, capsys):
+    assert dispatch(["energy", "--dataset", str(dataset_dir), "--aggregation", "off",
+                     "--activation", "identity", "--step", "0.1", "--horizon", "5",
+                     "--out", str(tmp_path / "e")]) == 0
+    assert capsys.readouterr().err == ""
+    assert 0 < json.loads((tmp_path / "e" / "manifest.json").read_text())["max_error_ratio"] < 1
+    # a recorded trajectory carries no step quality
+    assert dispatch(["simulate", "--dataset", str(dataset_dir), "--method", "rk4",
+                     "--horizon", "1", "--out", str(tmp_path / "s")]) == 0
+    assert dispatch(["energy", "--dataset", str(dataset_dir), "--trajectory",
+                     str(tmp_path / "s" / "trajectory.csv"), "--out", str(tmp_path / "r")]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "r" / "manifest.json").read_text())["max_error_ratio"] is None
 
 
 def test_config_max_steps_is_honoured(dataset_dir, tmp_path, capsys):

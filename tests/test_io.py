@@ -1,8 +1,10 @@
 """Round-trips for every file format the engine reads or writes."""
+import ast
 import json
-import os
 import tracemalloc
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,19 +217,106 @@ def test_trajectory_writer_streams_one_record_at_a_time(tmp_path):
     assert peak < 2 * 2**20
 
 
-def test_split_trajectory_writer_streams_too(tmp_path):
-    # this process formats its range and appends the children's parts in chunks
-    rng = np.random.default_rng(5)
-    traj = Trajectory(np.linspace(0.0, 40.0, 63), rng.normal(size=(63, 2000, 2)), 62)
-    assert traj.states.size >= gio.SPLIT_VALUES
+def test_trajectory_writer_memory_is_bounded_within_a_large_record(tmp_path):
+    # one record of 20000 nodes is itself several times the bound as text
+    rng = np.random.default_rng(6)
+    traj = Trajectory(np.array([0.0, 0.5, 1.0]), rng.normal(size=(3, 20000, 2)), 2)
     tracemalloc.start()
     try:
-        assert gio.write_trajectory_csv(traj, tmp_path / "t.csv", workers=2) == 2
+        gio.write_trajectory_csv(traj, tmp_path / "t.csv")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (tmp_path / "t.csv").stat().st_size > 5 * 2**20
+    assert (tmp_path / "t.csv").stat().st_size > 2 * 2**20
     assert peak < 2 * 2**20
+    ref_write_trajectory_csv(traj, tmp_path / "ref.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_trajectory_without_features_is_written_as_time_and_node(tmp_path):
+    # a bundle whose features.csv holds only node ids integrates to d = 0
+    traj = Trajectory(np.array([0.0, 0.5]), np.zeros((2, 3, 0)), 1)
+    gio.write_trajectory_csv(traj, tmp_path / "t.csv")
+    ref_write_trajectory_csv(traj, tmp_path / "ref.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_io_module_needs_no_temporary_files():
+    tree = ast.parse(Path(gio.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    assert not imported & {"tempfile", "shutil"}
+
+
+def _encoded(column, path) -> list[str]:
+    """Each value of ``column`` as the table encoder writes it."""
+    gio._write_table(path, "", len(column), lambda lo, hi: [column[lo:hi]], end="\n")
+    return path.read_text().split("\n")[:-1]
+
+
+def _near(x, ulps=3):
+    """Each double of ``x`` and its neighbours up to ``ulps`` apart."""
+    bits = np.asarray(x, dtype=np.float64).view(np.int64)
+    return (bits[:, None] + np.arange(-ulps, ulps + 1)).ravel().view(np.float64)
+
+
+def test_float_encoder_matches_cpython_on_a_million_values(tmp_path):
+    rng = np.random.default_rng(16)
+    powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    # the doubles nearest m / 10^k, where |x|·10^k rounds to 10^16 or 10^17
+    edges = np.array([m / 10 ** k for k in range(23)
+                      for m in (*range(10 ** 16 - 2, 10 ** 16 + 3), *range(10 ** 17 - 2, 10 ** 17 + 3))])
+    # exact ties: q/2^(k+1) with q odd and |x|·10^k in [10^16, 10^17) has a fraction of 1/2
+    ties = np.concatenate([(2 * rng.integers(-(-2 ** k * 10 ** 16 // 10 ** k),
+                                             min(2 ** k * 10 ** 17 // 10 ** k, 2 ** 52), 10000)
+                            + 1) / 2.0 ** (k + 1) for k in range(1, 23)])
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, 450000, dtype=np.uint64).view(np.float64),
+        rng.normal(size=450000) * 10.0 ** rng.uniform(-30, 40, 450000),
+        _near(powers), -_near(powers), _near(edges), ties, [1 + 2.0 ** -17],
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.inf, -np.inf, np.nan],
+    ])
+    assert values.size >= 10 ** 6
+    want = ["%.17g" % x for x in values.tolist()]
+    got = _encoded(values, tmp_path / "t.txt")
+    bad = [(x, g, w) for x, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad and len(got) == len(want), bad[:5]
+    assert _encoded(np.array([1e-6, 1 + 2.0 ** -17]), tmp_path / "t.txt") == [
+        "9.9999999999999995e-07", "1.0000076293945312"]
+
+
+@pytest.mark.parametrize("toward", [-np.inf, np.inf])
+def test_float_encoder_falls_back_when_log10_misjudges_the_exponent(tmp_path, monkeypatch,
+                                                                    toward):
+    # a log10 one ulp off moves the exponent guess at powers of ten by one; the
+    # scaled value then leaves [10^16, 10^17), and CPython formats it
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+    values = _near(np.array([float(f"1e{j}") for j in range(-7, 19)]))
+    assert _encoded(values, tmp_path / "t.txt") == ["%.17g" % x for x in values.tolist()]
+
+
+def test_no_significand_rounds_up_to_the_next_power_of_ten():
+    # for 0 <= k <= 22, the largest double below 10^(17-k), times 10^k, lies more
+    # than 1/2 below 10^17: so the encoder's 17-digit N never carries into the exponent
+    for k in range(23):
+        power = Fraction(10) ** (17 - k)
+        below = float(power)
+        while Fraction(below) >= power:
+            below = np.nextafter(below, 0.0)
+        assert 10 ** 17 - Fraction(below) * 10 ** k > Fraction(1, 2)
+
+
+def test_int_encoder_matches_cpython_over_the_int64_range(tmp_path):
+    rng = np.random.default_rng(17)
+    tens = 10 ** np.arange(19, dtype=np.int64)
+    values = np.concatenate([
+        rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 200000, dtype=np.int64,
+                     endpoint=True),
+        rng.integers(-1000, 1000, 2000), tens, tens - 1, -tens, 1 - tens,
+        [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1],
+    ]).astype(np.int64)
+    assert _encoded(values, tmp_path / "t.txt") == ["%d" % i for i in values.tolist()]
 
 
 def test_csv_rows_end_in_crlf_and_edge_list_lines_in_lf(tmp_path):
@@ -235,100 +324,3 @@ def test_csv_rows_end_in_crlf_and_edge_list_lines_in_lf(tmp_path):
     gio.write_dataset(ds, tmp_path)
     assert (tmp_path / "labels.csv").read_bytes().startswith(b"node,label\r\n0,0\r\n")
     assert (tmp_path / "graph.txt").read_bytes() == b"# nodes: 4\n0 1 1\n2 3 1\n"
-
-
-@pytest.fixture
-def split_writer(monkeypatch):
-    """Every trajectory is split between processes, however small."""
-    monkeypatch.setattr(gio, "SPLIT_VALUES", 0)
-
-
-def _writer_traj():
-    rng = np.random.default_rng(11)
-    return Trajectory(np.linspace(0.0, 1.0, 7), rng.normal(size=(7, 5, 2)), 6)
-
-
-def _write_faulting(monkeypatch, in_parent: bool):
-    """Make ``_write_records`` raise in this process (``in_parent``) or in a
-    forked writer, after writing its whole range."""
-    parent, write = os.getpid(), gio._write_records
-
-    def faulty(fh, row, records):
-        write(fh, row, records)
-        if (os.getpid() == parent) == in_parent:
-            fh.flush()
-            raise OSError("writer fault")
-
-    monkeypatch.setattr(gio, "_write_records", faulty)
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_split_trajectory_writer_reaps_its_children(tmp_path, split_writer):
-    traj = _writer_traj()
-    assert gio.write_trajectory_csv(traj, tmp_path / "split.csv", workers=3) == 3
-    _assert_no_child_left()
-    ref_write_trajectory_csv(traj, tmp_path / "ref.csv")
-    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-
-def test_failed_writer_child_range_is_formatted_by_the_parent(tmp_path, monkeypatch,
-                                                              split_writer):
-    traj = _writer_traj()
-    _write_faulting(monkeypatch, in_parent=False)
-    gio.write_trajectory_csv(traj, tmp_path / "split.csv", workers=3)
-    _assert_no_child_left()
-    ref_write_trajectory_csv(traj, tmp_path / "ref.csv")
-    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-
-def test_parent_writer_fault_still_reaps_every_child(tmp_path, monkeypatch, split_writer):
-    _write_faulting(monkeypatch, in_parent=True)
-    with pytest.raises(OSError, match="writer fault"):
-        gio.write_trajectory_csv(_writer_traj(), tmp_path / "split.csv", workers=4)
-    _assert_no_child_left()
-
-
-def test_writer_formats_every_range_itself_when_fork_fails(tmp_path, monkeypatch, split_writer):
-    def no_fork():
-        raise BlockingIOError("no process left")
-
-    traj = _writer_traj()
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert gio.write_trajectory_csv(traj, tmp_path / "split.csv", workers=3) == 1
-    ref_write_trajectory_csv(traj, tmp_path / "ref.csv")
-    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-
-def test_interrupted_writer_child_exits_instead_of_returning(tmp_path, monkeypatch, split_writer):
-    # an interrupt before the child starts writing (SIGINT reaches the whole
-    # process group) must end the child, not unwind it into the caller's code
-    parent, disable = os.getpid(), gio.gc.disable
-
-    def interrupted():
-        if os.getpid() != parent:
-            raise KeyboardInterrupt
-        disable()
-
-    monkeypatch.setattr(gio.gc, "disable", interrupted)
-    traj = _writer_traj()
-    try:
-        assert gio.write_trajectory_csv(traj, tmp_path / "split.csv", workers=2) == 2
-    finally:
-        if os.getpid() != parent:  # a child got here: leave a mark and end it
-            (tmp_path / "escaped").touch()
-            os._exit(0)
-    _assert_no_child_left()
-    assert not (tmp_path / "escaped").exists()
-    ref_write_trajectory_csv(traj, tmp_path / "ref.csv")
-    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-
-def test_small_trajectory_is_written_without_forking(tmp_path, monkeypatch):
-    traj = _writer_traj()
-    assert traj.states.size < gio.SPLIT_VALUES
-    monkeypatch.setattr(os, "fork", None)  # calling it would raise TypeError
-    assert gio.write_trajectory_csv(traj, tmp_path / "t.csv", workers=4) == 1

@@ -133,23 +133,25 @@ def test_trajectory_writer_bytes_match_csv_module(traj):
         assert _sha(tmp / "new.csv") == _sha(tmp / "ref.csv")
 
 
-@settings(max_examples=30, deadline=None)
-@given(trajectories(values=ANY_FLOAT))
-def test_split_trajectory_writer_bytes_match_csv_module(traj):
-    # up to 4 records, so some worker counts exceed the records
-    with _scratch() as tmp, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gio, "SPLIT_VALUES", 0)
-        ref_write_trajectory_csv(traj, tmp / "ref.csv")
-        for workers in range(1, 5):
-            used = gio.write_trajectory_csv(traj, tmp / f"{workers}.csv", workers=workers)
-            assert used == min(workers, len(traj.times))
-            assert _sha(tmp / f"{workers}.csv") == _sha(tmp / "ref.csv")
-
-
 @settings(max_examples=100, deadline=None)
 @given(datasets())
 def test_dataset_writer_bytes_match_csv_module(ds):
     with _scratch() as tmp:
+        gio.write_dataset(ds, tmp / "new")
+        ref_write_dataset(ds, tmp / "ref")
+        for name in ("graph.txt", "features.csv", "labels.csv", "masks.csv"):
+            assert _sha(tmp / "new" / name) == _sha(tmp / "ref" / name), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(trajectories(values=ANY_FLOAT), datasets(), st.sampled_from((1, 2, 5)))
+def test_writers_bytes_match_csv_module_across_blocks(traj, ds, block):
+    # a small block cuts every table into several, down to one row each
+    with _scratch() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gio, "BLOCK_VALUES", block)
+        gio.write_trajectory_csv(traj, tmp / "new.csv")
+        ref_write_trajectory_csv(traj, tmp / "ref.csv")
+        assert _sha(tmp / "new.csv") == _sha(tmp / "ref.csv")
         gio.write_dataset(ds, tmp / "new")
         ref_write_dataset(ds, tmp / "ref")
         for name in ("graph.txt", "features.csv", "labels.csv", "masks.csv"):
