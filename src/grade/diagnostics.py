@@ -6,6 +6,7 @@ intervals expose long-lived intermediate cluster configurations.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,9 @@ __all__ = [
 
 EPS_FRACTION = 0.05  # default cluster scale, as a fraction of the initial feature diameter
 DISTANCE_BLOCK = 1 << 15  # point pairs compared per distance block
-SEED_BATCH = 64  # seeds compared with the unvisited points at once
+SEED_BATCH = 64  # most seeds compared at once; each batch also compares its seeds pairwise
+PRUNE_MARGIN = 2.0**-20  # relative slack of the diameter prune, far above its rounding
+PRUNE_FLOOR = np.finfo(np.float64).tiny ** 0.5  # below it, subnormal rounding may matter
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +77,7 @@ def feature_spread(X: np.ndarray) -> float:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] < 1:
         raise ValueError("need at least one node")
-    return float(np.max(X.max(axis=0) - X.min(axis=0)))
+    return float(np.max(X.max(axis=0) - X.min(axis=0), initial=0.0))
 
 
 def _square_plane(P: np.ndarray, Q: np.ndarray, k: int) -> np.ndarray:
@@ -105,39 +108,86 @@ def _block_rows(m: int) -> int:
     return max(1, DISTANCE_BLOCK // m)
 
 
-def _absorb(frontier: np.ndarray, rest: np.ndarray, r2: float) -> np.ndarray:
+def _block_end(width, first: int, count: int) -> int:
+    """End of the longest run of rows ``[first, last)`` of ``count`` (one row
+    at least) that fits one distance block against its window of
+    ``width(last)`` columns; the window only grows with ``last``."""
+    return bisect.bisect_right(
+        range(count + 1), 0, first + 2, count + 1,
+        key=lambda last: last - first - _block_rows(max(int(width(last)), 1)),
+    ) - 1
+
+
+def _reach(r2: float) -> float:
+    """A width w with fl(w * w) > ``r2``, or inf if none is found.
+
+    Two points further apart than w along one axis cannot link: their
+    difference there rounds to at least w, its square to more than r2, and
+    a pairwise sum of squares never rounds below one of its terms.
+    """
+    w = float(np.sqrt(r2)) * (1 + 2.0**-49)
+    return w if w * w > r2 else np.inf
+
+
+def _absorb(frontier: np.ndarray, rest: np.ndarray, r2: float, axis: int, w: float) -> np.ndarray:
     """The points of ``rest`` left once every point that ``frontier`` reaches,
-    directly or through other points of ``rest``, has left."""
+    directly or through other points of ``rest``, has left. Both are sorted
+    along ``axis``; a block of frontier points meets only the points of
+    ``rest`` within ``w`` of it there that no block has reached yet, and its
+    rows are sized from how many those are. Blocks run from the far end of
+    the frontier, nearest the unvisited points that the sweep has yet to
+    pass, so that the later blocks meet fewer of them."""
     while frontier.shape[1] and rest.shape[1]:
-        grown, first = [], 0
-        while first < frontier.shape[1] and rest.shape[1]:
-            last = first + _block_rows(rest.shape[1])
-            hit = np.any(_sq_distances(frontier[:, first:last], rest) <= r2, axis=0)
-            if hit.any():
-                grown.append(np.compress(hit, rest, axis=1))
-                rest = np.compress(~hit, rest, axis=1)
+        frontier = frontier[:, ::-1]
+        keys, ahead = rest[axis], frontier[axis]
+        los = np.searchsorted(keys, ahead - w, "left")
+        his = np.searchsorted(keys, ahead + w, "right")
+        hit, first = np.zeros(keys.size, dtype=bool), 0
+        before = np.arange(keys.size + 1)  # points not yet reached before each index
+        while first < ahead.size and before[-1]:
+            hi = his[first]
+            last = _block_end(lambda end: before[hi] - before[los[end - 1]], first, ahead.size)
+            live = np.flatnonzero(~hit[los[last - 1]:hi]) + los[last - 1]
+            if live.size:
+                near = _sq_distances(frontier[:, first:last], rest[:, live]) <= r2
+                reached = live[near.any(axis=0)]
+                if reached.size:
+                    hit[reached] = True
+                    np.cumsum(~hit, out=before[1:])
             first = last
-        frontier = np.concatenate([frontier[:, :0], *grown], axis=1)
+        frontier = np.compress(hit, rest, axis=1)
+        rest = np.compress(~hit, rest, axis=1)
     return rest
 
 
 def cluster_count(X: np.ndarray, eps: float) -> int:
     """Connected components of the eps-proximity graph on feature vectors.
 
-    Nodes are linked iff their Euclidean distance is <= eps. A frontier
-    search compares a batch of seeds with every unvisited point at once:
-    seeds that reach only themselves are singletons and leave together;
-    else the first seed with a neighbour grows its component one frontier
-    at a time against the shrinking set of unvisited points.
+    Nodes are linked iff their Euclidean distance is <= eps. The points are
+    sorted once along their widest coordinate, and every block of them is
+    compared only with the window of unvisited points that lie within eps
+    of it along that axis (no other pair can link). A frontier search takes
+    a batch of seeds: seeds that reach only themselves are singletons and
+    leave together; else the first seed with a neighbour grows its
+    component one frontier at a time against the shrinking set of unvisited
+    points.
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    rest = np.ascontiguousarray(_finite(X).T)  # coordinate-major unvisited points
+    P = np.ascontiguousarray(_finite(X).T)
+    if not P.size:
+        return min(P.shape[1], 1)  # zero-width points all coincide
+    axis = int(np.argmax(P.max(axis=1) - P.min(axis=1)))
+    # coordinate-major unvisited points, in sweep order
+    rest = P.take(np.argsort(P[axis], kind="stable"), axis=1)
     r2 = eps * eps
+    w = _reach(r2)
     count = 0
     while rest.shape[1]:
-        seeds = min(SEED_BATCH, _block_rows(rest.shape[1]))
-        near = _sq_distances(rest[:, :seeds], rest) <= r2
+        keys = rest[axis]
+        ends = np.searchsorted(keys, keys[:SEED_BATCH] + w, "right")
+        seeds = _block_end(lambda end: ends[end - 1], 0, ends.size)
+        near = _sq_distances(rest[:, :seeds], rest[:, :ends[seeds - 1]]) <= r2
         np.fill_diagonal(near, False)  # seed i is point i
         lonely = ~near.any(axis=1)
         count += int(np.count_nonzero(lonely))
@@ -145,11 +195,12 @@ def cluster_count(X: np.ndarray, eps: float) -> int:
             rest = rest[:, seeds:]
             continue
         grow = int(np.argmin(lonely))
-        gone = near[grow]
+        gone = np.zeros(keys.size, dtype=bool)
+        gone[:near.shape[1]] = near[grow]
         frontier = np.compress(gone, rest, axis=1)
         gone[:seeds] |= lonely
         gone[grow] = True
-        rest = _absorb(frontier, np.compress(~gone, rest, axis=1), r2)
+        rest = _absorb(frontier, np.compress(~gone, rest, axis=1), r2, axis, w)
         count += 1
     return count
 
@@ -187,10 +238,27 @@ def energy_series(traj: Trajectory, g: Graph) -> EnergySeries:
 
 
 def default_cluster_eps(X0: np.ndarray) -> float:
-    """Clustering scale: ``EPS_FRACTION`` of the initial Euclidean feature diameter."""
+    """Clustering scale: ``EPS_FRACTION`` of the initial Euclidean feature diameter.
+
+    The diameter is a blocked max over the pairs of the points that can
+    still reach it. L, the largest distance from the point furthest from the
+    bounding-box centre c, is a pair distance, so the diameter is at least
+    L; and ||x_i - x_j|| <= r_i + R with r_i = ||x_i - c|| and R = max r_i,
+    so point i can be in the diameter's pair only if (r_i + R)^2 >= L. A
+    relative margin covers rounding; below ``PRUNE_FLOOR`` every point is
+    kept, and an L that overflows is already the result. The kept pair is
+    the same kernel's pair, so the bits are too.
+    """
     P = np.ascontiguousarray(_finite(X0).T)
-    n = P.shape[1]
-    sq, first = 0.0, 0
+    if not P.size:
+        return EPS_FRACTION  # no pairs, or no coordinates to tell points apart
+    centre = P.min(axis=1) / 2 + P.max(axis=1) / 2
+    r = np.sqrt(_sq_distances(centre[:, None], P)[0])
+    far = int(np.argmax(r))
+    sq = float(_sq_distances(P[:, far:far + 1], P).max())
+    if sq >= PRUNE_FLOOR:
+        P = np.compress((r + r[far]) ** 2 >= sq * (1 - PRUNE_MARGIN), P, axis=1)
+    n, first = P.shape[1], 0
     while first < n:
         last = first + _block_rows(n - first)
         sq = max(sq, float(_sq_distances(P[:, first:last], P[:, first:]).max()))

@@ -384,6 +384,9 @@ def read_dataset(in_dir) -> Dataset:
     n = graph.n
 
     features = _read_table(src / "features.csv", n, "f8")
+    if not features.shape[1]:
+        raise ValueError(f"{src / 'features.csv'}: expected at least 1 feature column "
+                         "after the node id")
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         raise ValueError(f"{src / 'features.csv'}: node {bad[0][0]} has a non-finite feature")

@@ -12,7 +12,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grade import Dataset, DynamicsConfig, KernelSpec, SolverConfig, TrainConfig, from_edge_list
+from grade import (
+    Dataset,
+    DynamicsConfig,
+    KernelSpec,
+    SolverConfig,
+    TrainConfig,
+    Trajectory,
+    from_edge_list,
+)
 from grade.cli import _merge, _resolve, _unread, build_parser, dispatch
 from grade import io as gio
 
@@ -135,6 +143,27 @@ def test_energy_from_existing_trajectory(dataset_dir, tmp_path):
     ])
     assert code == 0
     assert (out / "energy.csv").exists()
+
+
+def test_energy_reads_a_trajectory_without_feature_columns(dataset_dir, tmp_path):
+    # the writer's own `time,node` file: no coordinates, so no spread and one cluster
+    gio.write_trajectory_csv(Trajectory(np.array([0.0, 1.0]), np.zeros((2, 100, 0)), 1),
+                             tmp_path / "t.csv")
+    out = tmp_path / "energy"
+    assert dispatch(["energy", "--dataset", str(dataset_dir), "--trajectory",
+                     str(tmp_path / "t.csv"), "--out", str(out)]) == 0
+    assert (out / "energy.csv").read_text().splitlines()[1:] == ["0,0,0,1", "1,0,0,1"]
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["energy"], ["train", "--epochs", "1"]])
+def test_node_only_features_exit_1_naming_the_file(dataset_dir, tmp_path, capsys, command):
+    features = dataset_dir / "features.csv"
+    features.write_text("".join(line.split(",")[0] + "\n"
+                                for line in features.read_text().splitlines()))
+    capsys.readouterr()
+    code = dispatch([*command, "--dataset", str(dataset_dir), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "features.csv: expected at least 1 feature column" in capsys.readouterr().err
 
 
 def test_energy_from_trajectory_rejects_dynamics_settings(dataset_dir, tmp_path, capsys):

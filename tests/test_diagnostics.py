@@ -21,7 +21,10 @@ from grade import (
     rhs,
     row_normalized_adjacency,
 )
+from grade import diagnostics
 from grade.diagnostics import _sq_distances, default_cluster_eps
+
+from _oracles import ref_cluster_count, ref_default_cluster_eps
 
 
 def test_energy_constant_features_zero():
@@ -84,10 +87,19 @@ def test_cluster_count_examples():
     assert cluster_count(np.zeros((1, 2)), eps=1.0) == 1
 
 
+def test_cluster_count_links_points_tied_on_the_sweep_axis():
+    # at 2^60 a coordinate plus or minus eps rounds back to itself, so each
+    # window is exactly the points that tie with the block on that axis
+    X = np.array([[2.0**60, 0.0], [2.0**60, 0.5], [2.0**60, 1.0], [2.0**60 + 256, 0.0]])
+    assert cluster_count(X, eps=0.6) == 2
+    assert cluster_count(X[::-1], eps=0.6) == 2
+
+
 def test_cluster_diagnostics_of_zero_width_features():
     # no coordinates: every pair is at distance 0
     assert cluster_count(np.zeros((3, 0)), eps=1.0) == 1
     assert default_cluster_eps(np.zeros((3, 0))) == 0.05
+    assert feature_spread(np.zeros((3, 0))) == 0.0
 
 
 def test_cluster_count_monotone_in_eps():
@@ -147,6 +159,80 @@ def test_spread_cluster_diagnostics_memory_is_linear_in_n(state):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def _circle(rng, n):
+    # every point is as far from the bounding-box centre as any other, so
+    # the diameter's prune keeps them all
+    angle = np.sort(rng.uniform(0.0, 2 * np.pi, size=n))
+    return np.column_stack([np.cos(angle), np.sin(angle)]), 1
+
+
+def _chain(rng, n):
+    # gaps below eps along the sweep axis: one cluster that spans every window
+    x = np.cumsum(rng.uniform(0.1, 0.9, size=n))
+    return np.column_stack([x, rng.uniform(-0.2, 0.2, size=n)]), 1
+
+
+def _disc(rng, n):
+    # the window of every point spans the disc, but the first seed reaches
+    # only part of it, so large frontier blocks meet a wide window
+    radius, angle = np.sqrt(rng.uniform(size=n)), rng.uniform(0.0, 2 * np.pi, size=n)
+    return np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]), 1
+
+
+@pytest.mark.parametrize("state", [_circle, _chain])
+def test_cluster_diagnostics_worst_cases_for_the_prunes_stay_bounded(state):
+    X, clusters = state(np.random.default_rng(4), 3000)
+    tracemalloc.start()
+    try:
+        count, scale = cluster_count(X, eps=1.0), default_cluster_eps(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert count == clusters == ref_cluster_count(X, 1.0)
+    assert scale.hex() == ref_default_cluster_eps(X).hex()
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """(rows, columns) of every distance block the diagnostics compute."""
+    seen = []
+
+    def recorded(P, Q):
+        seen.append((P.shape[1], Q.shape[1]))
+        return _sq_distances(P, Q)
+
+    monkeypatch.setattr(diagnostics, "_sq_distances", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("state", [_dispersed, _two_communities, _circle, _chain, _disc])
+def test_every_distance_block_fits_one_block_of_pairs(blocks, state):
+    X, clusters = state(np.random.default_rng(6), 3000)
+    assert cluster_count(X, eps=1.0) == clusters
+    default_cluster_eps(X)
+    assert all(rows == 1 or rows * cols <= diagnostics.DISTANCE_BLOCK for rows, cols in blocks)
+
+
+def test_dispersed_state_compares_few_pairs(blocks):
+    # a timing-free guard on both prunes: a full pass compares n^2/2 pairs
+    X, clusters = _dispersed(np.random.default_rng(5), 3000)
+    assert cluster_count(X, eps=1.0) == clusters
+    assert 0 < sum(rows * cols for rows, cols in blocks) < len(X) ** 2 / 20
+    blocks.clear()
+    assert default_cluster_eps(X).hex() == ref_default_cluster_eps(X).hex()
+    assert 0 < sum(rows * cols for rows, cols in blocks) < len(X) ** 2 / 20
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_default_cluster_eps_has_the_oracles_bits_when_squares_are_subnormal(d):
+    # rounding at subnormal squares is far coarser than the prune's margin
+    for seed in range(4):
+        for scale in 2.0 ** np.arange(-545, -515):
+            X = np.random.default_rng(seed).normal(size=(30, d)) * scale
+            assert default_cluster_eps(X).hex() == ref_default_cluster_eps(X).hex()
 
 
 @pytest.mark.parametrize("d", [*range(1, 21), 127, 128, 129, 256, 300])

@@ -107,6 +107,14 @@ def test_non_finite_feature_is_rejected_naming_file_and_node(tmp_path, value):
         gio.read_dataset(tmp_path)
 
 
+def test_features_without_a_feature_column_are_rejected_naming_the_file(tmp_path):
+    gio.write_dataset(csbm_generate(CsbmConfig(n=6, p_intra=1.0, p_inter=0.0), seed=0), tmp_path)
+    lines = (tmp_path / "features.csv").read_text().split("\n")
+    (tmp_path / "features.csv").write_text("\n".join(line.split(",")[0] for line in lines))
+    with pytest.raises(ValueError, match=r"features.csv: expected at least 1 feature column"):
+        gio.read_dataset(tmp_path)
+
+
 def test_integer_parsed_via_a_float_is_an_error(tmp_path, monkeypatch):
     # numpy releases that accept "1.5" in an integer field truncate it and
     # only warn; the readers turn that warning into an error naming the file
@@ -234,7 +242,8 @@ def test_trajectory_writer_memory_is_bounded_within_a_large_record(tmp_path):
 
 
 def test_trajectory_without_features_is_written_as_time_and_node(tmp_path):
-    # a bundle whose features.csv holds only node ids integrates to d = 0
+    # read_dataset refuses zero-width features, but a Trajectory may hold
+    # them, and `energy --trajectory` reads such a file back
     traj = Trajectory(np.array([0.0, 0.5]), np.zeros((2, 3, 0)), 1)
     gio.write_trajectory_csv(traj, tmp_path / "t.csv")
     ref_write_trajectory_csv(traj, tmp_path / "ref.csv")

@@ -31,6 +31,7 @@ from grade import (
     rhs,
 )
 from grade import autodiff as ad
+from grade import diagnostics
 
 from _oracles import (
     dense_kernel_matrix,
@@ -242,6 +243,56 @@ def test_cluster_diagnostics_match_the_oracles_on_bench_shaped_states(case):
     X, eps = case
     assert cluster_count(X, eps) == ref_cluster_count(X, eps)
     assert default_cluster_eps(X).hex() == ref_default_cluster_eps(X).hex()
+
+
+@st.composite
+def _sweep_states(draw):
+    """A few hundred points spread along coordinate 0 over many eps, so the
+    sweep cuts windows, with pairs placed along that axis exactly eps apart
+    and one ulp either side of it; and the extremes: ties on the sweep axis,
+    an eps whose square overflows, differences that overflow, and squares
+    that underflow, and an offset so large that a coordinate plus or minus
+    eps rounds back to itself. eps and the paired coordinates are multiples
+    of 1/64, so the threshold sums are exact."""
+    n, d = draw(st.integers(100, 400)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("spread", "ties", "inf-eps", "overflow", "underflow", "offset")))
+    eps = draw(st.integers(8, 640)) / 64
+    X = rng.uniform(-eps, eps, size=(n, d))
+    X[:, 0] = rng.uniform(0.0, draw(st.sampled_from((5.0, 40.0))) * eps, size=n)
+    if kind == "ties":  # grid neighbours are eps or eps / 2 apart on the sweep axis
+        step = eps * draw(st.sampled_from((0.5, 1.0)))
+        X[:, 0] = step * np.round(X[:, 0] / step)
+    for i, j, ulps in zip(*rng.integers(0, n, (2, 20)), rng.integers(-1, 2, 20)):
+        if i != j:
+            X[j, 1:] = X[i, 1:]
+            X[i, 0] = np.round(64 * X[i, 0]) / 64
+            X[j, 0] = np.nextafter(X[i, 0] + eps, ulps * np.inf) if ulps else X[i, 0] + eps
+    if draw(st.booleans()):  # some pair right on the threshold, off the sweep axis too
+        i, j = rng.integers(0, n, 2)
+        eps = float(np.sqrt(pair_sq_distance(X, i, j))) or eps
+    if kind == "inf-eps":
+        eps = 1e200
+    elif kind == "overflow":
+        X[rng.integers(0, n, 5), 0] = rng.choice([-1.0, 1.0], 5) * 1.5e308
+    elif kind == "underflow":  # squares from subnormal to all zero
+        scale = 2.0 ** draw(st.integers(-560, -520))
+        X, eps = X * scale, eps * scale
+    elif kind == "offset":  # sweep-axis values one ulp (2^7 eps) or more apart
+        X[:, 0] += 2.0**59 * eps
+    return X, eps
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sweep_states(), st.sampled_from((1, 7, 64, 1 << 15)))
+def test_cluster_diagnostics_match_the_oracles_across_sweep_windows(case, block):
+    # a small distance block splits the seed batches and frontiers into many
+    # windows of the sweep
+    X, eps = case
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        mp.setattr(diagnostics, "DISTANCE_BLOCK", block)
+        assert cluster_count(X, eps) == ref_cluster_count(X, eps)
+        assert default_cluster_eps(X).hex() == ref_default_cluster_eps(X).hex()
 
 
 def _central_difference(fn, x, h=1e-6):
