@@ -38,7 +38,6 @@ __all__ = [
     "arc_sq_distances",
     "segment_sum",
     "segment_softmax",
-    "clamped_norm",
     "clamped_sqrt",
     "take_per_row",
 ]
@@ -219,9 +218,16 @@ def power(a, exponent: float) -> Tensor:
     return Tensor(a.data ** exponent, parents=(a,), backward=backward)
 
 
+EXP_ZERO = -746.0  # np.exp is exactly 0 at and below this, where it costs many times more
+
+
 def exp(a) -> Tensor:
+    """Elementwise exp; np.exp is called only where the result is not exactly 0
+    (the kernels' arguments mostly lie far below EXP_ZERO). NaN stays NaN."""
     a = constant(a)
-    y = np.exp(a.data)
+    live = np.flatnonzero(~(a.data <= EXP_ZERO))
+    y = np.zeros(a.data.shape)
+    np.put(y, live, np.exp(np.take(a.data, live)))
 
     def backward(g):
         a.grad += g * y
@@ -398,27 +404,10 @@ def segment_softmax(scores, offsets) -> Tensor:
     return Tensor(p.reshape(shape), parents=(scores,), backward=backward)
 
 
-def clamped_norm(d, floor: float) -> Tensor:
-    """Row-wise Euclidean norm of ``d`` clamped below at ``floor``.
-
-    Gradient is zero wherever the clamp is active, matching the flat
-    region of the clamped function.
-    """
-    d = constant(d)
-    nrm = np.sqrt((d.data ** 2).sum(axis=1, keepdims=True))
-
-    def backward(g):
-        active = nrm > floor
-        safe = np.where(active, nrm, 1.0)
-        d.grad += np.where(active, g / safe, 0.0) * d.data
-
-    return Tensor(np.maximum(nrm, floor), parents=(d,), backward=backward)
-
-
 def clamped_sqrt(sq, floor: float) -> Tensor:
     """Elementwise square root of ``sq`` clamped below at ``floor``: the
-    clamped norm of a row whose squared norm is ``sq``, with zero gradient
-    wherever the clamp is active."""
+    clamped Euclidean norm of a row whose squared norm is ``sq``, with zero
+    gradient wherever the clamp is active."""
     sq = constant(sq)
     r = np.sqrt(sq.data)
 

@@ -7,6 +7,7 @@ intervals expose long-lived intermediate cluster configurations.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,17 @@ def _sq_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return pairwise_sum(lambda k: _square_plane(P, Q, k), len(P))
 
 
+def _overflow_is_inf(fn):
+    """``fn`` without numpy's overflow warnings: a coordinate range, difference
+    or square beyond the largest double is inf, and such points are as far
+    apart as inf says."""
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore"):
+            return fn(*args, **kwargs)
+    return quiet
+
+
 def _finite(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
@@ -160,6 +172,7 @@ def _absorb(frontier: np.ndarray, rest: np.ndarray, r2: float, axis: int, w: flo
     return rest
 
 
+@_overflow_is_inf
 def cluster_count(X: np.ndarray, eps: float) -> int:
     """Connected components of the eps-proximity graph on feature vectors.
 
@@ -237,6 +250,7 @@ def energy_series(traj: Trajectory, g: Graph) -> EnergySeries:
     return EnergySeries(np.asarray(traj.times, dtype=np.float64), values)
 
 
+@_overflow_is_inf
 def default_cluster_eps(X0: np.ndarray) -> float:
     """Clustering scale: ``EPS_FRACTION`` of the initial Euclidean feature diameter.
 

@@ -6,6 +6,7 @@ iteration and edge iteration are both linear.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -208,24 +209,56 @@ class CsbmConfig:
             raise ValueError("class_mean_separation must be finite")
 
 
-def _build_graph(n: int, eu: np.ndarray, ev: np.ndarray, w: np.ndarray) -> Graph:
-    """Sort both orientations of validated canonical edges (u < v, any order) once:
-    that gives the arc table, the edges (the arcs with u < v) and each arc's reverse."""
-    arc_src, arc_dst = np.concatenate([eu, ev]), np.concatenate([ev, eu])
-    order = np.lexsort((arc_dst, arc_src))
-    arc_src, arc_dst, arc_w = arc_src[order], arc_dst[order], np.concatenate([w, w])[order]
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    # input arcs j and j ± m are reverses (m = eu.size), so rolling by m swaps the halves
-    reverse = np.roll(position, eu.size)[order]
-    forward = arc_src < arc_dst
+_KEY_SIDE = math.isqrt(np.iinfo(np.int64).max)  # the largest n with every a·n + b in int64
 
-    degree = np.bincount(arc_src, minlength=n).astype(np.int64)
+
+def _pair_order(a: np.ndarray, b: np.ndarray, n: int, kind: str = "stable") -> np.ndarray:
+    """The order of the pairs (a, b), each in [0, n), by a, then b: one argsort
+    of the injective key a·n + b (a lexsort for n beyond ``_KEY_SIDE``). Equal
+    pairs keep their order unless ``kind`` names a sort that is not stable."""
+    if n > _KEY_SIDE:
+        return np.lexsort((b, a))
+    return np.argsort(a * n + b, kind=kind)
+
+
+def _build_graph(n: int, eu: np.ndarray, ev: np.ndarray, w: np.ndarray) -> Graph:
+    """The graph of distinct validated canonical edges (u < v) given in any order;
+    the three arrays become its edge arrays, so the caller must not keep them.
+
+    Sorted by (u, v), the edges are the arc table's arcs with src < dst, in
+    order. Row x of the arc table lists x's arcs to lower neighbours (the edges
+    (y, x) by y: one sort by (v, u)), then those to higher ones (the edges
+    (x, y) by y), so the counts of both kinds per node place every arc.
+    """
+    order = _pair_order(eu, ev, n)
+    if np.any(order[1:] < order[:-1]):
+        eu, ev, w = eu[order], ev[order], w[order]
+    del order
+    m = eu.size
+    up = np.bincount(eu, minlength=n)  # the arcs from each node to a higher one
+    down = np.bincount(ev, minlength=n)  # and to a lower one
+    degree = up + down
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degree, out=offsets[1:])
+    # edge e's arc from v follows the arcs to higher nodes from nodes below v and
+    # the edges before e in (v, u) order; its arc from u follows the arcs to lower
+    # nodes from nodes up to u and the edges before e
+    by_v = _pair_order(ev, eu, n, kind="quicksort")  # the pairs are distinct
+    back = np.empty(m, dtype=np.int64)
+    back[by_v] = np.arange(m) + np.repeat(np.cumsum(up) - up, down)
+    del by_v
+    fore = np.arange(m) + np.repeat(np.cumsum(down), up)
 
-    arrays = (arc_src[forward], arc_dst[forward], arc_w[forward],
-              arc_src, arc_dst, arc_w, offsets, degree, reverse)
+    reverse = np.empty(2 * m, dtype=np.int64)
+    reverse[fore], reverse[back] = back, fore
+    arc_dst = np.empty(2 * m, dtype=np.int64)
+    arc_dst[fore], arc_dst[back] = ev, eu
+    arc_w = np.empty(2 * m)
+    arc_w[fore] = arc_w[back] = w
+    del fore, back
+    arc_src = np.repeat(np.arange(n, dtype=np.int64), degree)
+
+    arrays = (eu, ev, w, arc_src, arc_dst, arc_w, offsets, degree, reverse)
     for a in arrays:
         a.setflags(write=False)
     return Graph(n, *arrays)
@@ -245,6 +278,11 @@ def from_edge_list(n, edges, weights=None) -> Graph:
     The error names the first offending pair in input order; a duplicate is
     compared with the first occurrence of its pair, whose weight is kept.
     """
+    return _build_graph(n, *_checked_edges(n, edges, weights))
+
+
+def _checked_edges(n, edges, weights):
+    """``from_edge_list``'s checks: its distinct edges (u < v, sorted) and their weights."""
     if n < 0:
         raise ValueError("node count must be >= 0")
     raw = _as_array(edges, None)
@@ -265,16 +303,19 @@ def from_edge_list(n, edges, weights=None) -> Graph:
 
     u, v = pairs.T
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    order = np.lexsort((hi, lo))  # stable, so each pair's first occurrence leads its run
+    inside = (lo >= 0) & (hi < n)
+    # pairs out of range all sort as (0, 0), a self-loop: only faulty pairs share their run
+    order = _pair_order(lo * inside, hi * inside, n)  # stable: a pair's first occurrence leads
     starts = np.ones(m, dtype=bool)
     starts[1:] = (lo[order[1:]] != lo[order[:-1]]) | (hi[order[1:]] != hi[order[:-1]])
     first = order[starts]
     first_of = np.empty(m, dtype=np.int64)
     first_of[order] = first[np.cumsum(starts) - 1]
+    del order, starts
 
     faults = (
         (fractional, "edge endpoint is not an integer node id: ({x}, {y})"),
-        ((lo < 0) | (hi >= n), "edge endpoint out of range: ({u}, {v})"),
+        (~inside, "edge endpoint out of range: ({u}, {v})"),
         (u == v, "self-loop at node {u}"),
         (~np.isfinite(w), "non-finite weight on edge ({u}, {v})"),
         (w < 0, "negative weight on edge ({u}, {v})"),
@@ -287,7 +328,7 @@ def from_edge_list(n, edges, weights=None) -> Graph:
         message = next(text for mask, text in faults if mask[i])
         raise ValueError(message.format(u=u[i], v=v[i], lo=lo[i], hi=hi[i],
                                         x=float(raw[i, 0]), y=float(raw[i, 1])))
-    return _build_graph(n, lo[first], hi[first], w[first])
+    return lo[first], hi[first], w[first]
 
 
 def row_normalized_adjacency(g: Graph) -> sp.csr_array:

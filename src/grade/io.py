@@ -11,12 +11,13 @@ import os
 import re
 import warnings
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import DynamicsConfig
-from .graph import Dataset, Graph, from_edge_list
+from .graph import Dataset, Graph, _build_graph, _checked_edges
 from .solvers import SolverConfig, Trajectory
 from .training import EpochMetrics, ModelParams
 
@@ -254,6 +255,7 @@ def _loadtxt(path, lines, numbered, dtype, **kwargs) -> np.ndarray:
     with warnings.catch_warnings():
         # numpy releases that still accept "1.5" in an integer field truncate it with this warning
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             return parse(lines)
         except (ValueError, DeprecationWarning) as exc:
@@ -305,8 +307,39 @@ def write_edge_list(g: Graph, path) -> None:
                  sep=" ", end="\n")
 
 
-_EDGE = np.dtype([("u", "i8"), ("v", "i8"), ("w", "f8")])
-EDGE_BLOCK = 1 << 10  # edge lines held as text until one np.loadtxt call parses them
+_EDGE = np.dtype([("uv", "i8", (2,)), ("w", "f8")])
+TEXT_BLOCK = 1 << 16  # characters of an edge list classified at a time
+# the characters str.split() splits on, each below 0x3001; np.loadtxt splits fields on them too
+_SPACE = np.zeros(0x3002, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B),
+        0x2028, 0x2029, 0x202F, 0x205F, 0x3000]] = True
+
+
+def _text_blocks(fh):
+    """The text of ``fh`` in blocks of whole lines, about TEXT_BLOCK characters
+    each; every block ends with a newline (one is added to an unterminated last line)."""
+    parts = []
+    for chunk in iter(lambda: fh.read(TEXT_BLOCK), ""):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield "".join(parts) + chunk[:cut]
+            parts = []
+        parts.append(chunk[cut:])
+    if any(parts):
+        yield "".join(parts) + "\n"
+
+
+def _line_tokens(block: str):
+    """The lines of ``block``, and for each line its whitespace-separated field
+    count and whether its first field starts with ``#``."""
+    codes = (np.frombuffer(block.encode("ascii"), np.uint8) if block.isascii()
+             else np.frombuffer(block.encode("utf-32-le"), np.uint32))
+    space = np.take(_SPACE, codes, mode="clip")
+    first = np.flatnonzero(~space & np.r_[True, space[:-1]])  # the first character of each field
+    fields = np.searchsorted(first, np.flatnonzero(codes == ord("\n")))  # fields before each line end
+    count = np.diff(fields, prepend=0)
+    lead = np.append(codes[first], 0)[fields - count]  # the first character of a line
+    return block.split("\n")[:-1], count, (count > 0) & (lead == ord("#"))
 
 
 def read_edge_list(path, n: int | None = None) -> Graph:
@@ -314,38 +347,58 @@ def read_edge_list(path, n: int | None = None) -> Graph:
 
     A line holds `u v` or `u v weight` (weight 1 when absent); blank lines
     and lines starting with `#` are skipped, and `# nodes: N` sets the node
-    count. The file is read once; edge lines are parsed EDGE_BLOCK at a time.
+    count. The file is opened once and read TEXT_BLOCK characters at a time:
+    array operations sort each block's lines into blank, comment and edge
+    lines, and one np.loadtxt call parses every edge line. Only a field that
+    does not parse sends the reader back to the start, to name its line.
     """
-    header_n, fault, blocks, linenos, lines = None, None, [], [], []
-    with _text_faults(path), open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if parts and parts[0].startswith("#"):
-                if "nodes:" in raw:
+    header_n, fault = None, None
+
+    def edge_lines(fh):
+        """(line numbers, texts) of the edge lines of each block, up to the first fault."""
+        nonlocal header_n, fault
+        lineno = 1
+        for block in _text_blocks(fh):
+            lines, count, comment = _line_tokens(block)
+            edge = (count > 0) & ~comment
+            wrong = np.flatnonzero(edge & ((count < 2) | (count > 3)))
+            stop = int(wrong[0]) if wrong.size else len(lines)
+            for i in np.flatnonzero(comment[:stop]).tolist():
+                if "nodes:" in lines[i]:
                     try:
-                        header_n = int(raw.split("nodes:")[1])  # int() strips whitespace
+                        # strip() first: int() keeps the separators \x1c to \x1f
+                        header_n = int(lines[i].split("nodes:")[1].strip())
                     except ValueError:
-                        fault = f"{path}:{lineno}: expected '# nodes: N'"
+                        stop, fault = i, f"{path}:{lineno + i}: expected '# nodes: N'"
                         break
-            elif parts:
-                if len(parts) not in (2, 3):
-                    fault = f"{path}:{lineno}: expected 'u v [weight]'"
-                    break
-                linenos.append(lineno)
-                lines.append(raw if len(parts) == 3 else raw.rstrip("\n") + " 1")
-                if len(lines) == EDGE_BLOCK:
-                    blocks.append(_loadtxt(path, lines, zip(linenos, lines), _EDGE))
-                    linenos, lines = [], []
-    # a fault in a line before the one that stopped the loop is reported first
-    blocks.append(_loadtxt(path, lines, zip(linenos, lines), _EDGE) if lines else np.zeros(0, _EDGE))
+            else:
+                if wrong.size:
+                    fault = f"{path}:{lineno + stop}: expected 'u v [weight]'"
+            at = np.flatnonzero(edge[:stop])
+            texts = np.array(lines, dtype=object)[at]
+            texts[count[at] == 2] += " 1"
+            yield lineno + at, texts
+            if stop < len(lines):
+                return
+            lineno += len(lines)
+
+    def numbered(fh):
+        """On a fault only: (line number, text) of each edge line, read again from the start."""
+        fh.seek(0)
+        for block in edge_lines(fh):
+            yield from zip(*block)
+
+    with _text_faults(path), open(path) as fh:
+        edges = _loadtxt(path, chain.from_iterable(texts for _, texts in edge_lines(fh)),
+                         numbered(fh), _EDGE)
+    # a fault in a line before the one that stopped the reading is reported first
     if fault:
         raise ValueError(fault)
-    edges = np.concatenate(blocks)
-    del blocks, linenos, lines  # so that the graph is built without them
     if n is None:
-        n = header_n if header_n is not None else \
-            int(np.maximum(edges["u"], edges["v"]).max(initial=-1)) + 1
-    return from_edge_list(n, np.stack([edges["u"], edges["v"]], axis=1), edges["w"])
+        n = header_n if header_n is not None else int(edges["uv"].max(initial=-1)) + 1
+    edge_u, edge_v, weight = _checked_edges(n, edges["uv"], edges["w"])
+    del edges  # so that the graph is built without them
+    return _build_graph(n, edge_u, edge_v, weight)
 
 
 # ---------------------------------------------------------------- datasets

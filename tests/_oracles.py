@@ -534,6 +534,25 @@ def ref_attention_arc_values(X, params, g, theta=None):
     return ad.reshape(ad.segment_softmax(scores, g.arc_offsets), (g.arc_src.size, 1))
 
 
+def ref_clamped_norm(d, floor: float):
+    """Row-wise Euclidean norm of ``d`` clamped below at ``floor``, as a tape node.
+
+    Gradient is zero wherever the clamp is active, matching the flat
+    region of the clamped function.
+    """
+    from grade import autodiff as ad
+
+    d = ad.constant(d)
+    nrm = np.sqrt((d.data ** 2).sum(axis=1, keepdims=True))
+
+    def backward(g):
+        active = nrm > floor
+        safe = np.where(active, nrm, 1.0)
+        d.grad += np.where(active, g / safe, 0.0) * d.data
+
+    return ad.Tensor(np.maximum(nrm, floor), parents=(d,), backward=backward)
+
+
 def ref_kernel_arc_values(spec, X, g):
     """Raw radial kernel column kappa(x_u - x_v)."""
     from grade import autodiff as ad
@@ -543,7 +562,7 @@ def ref_kernel_arc_values(spec, X, g):
     if spec.kind == "gaussian":
         sq = ad.reduce_sum(ad.mul(diff, diff), axis=1)
         return ad.exp(ad.mul(sq, -1.0 / (2.0 * spec.bandwidth ** 2)))
-    r = ad.clamped_norm(diff, spec.singularity_floor)
+    r = ref_clamped_norm(diff, spec.singularity_floor)
     if spec.kind == "log":
         return ad.log(r)
     return ad.power(r, -2.0 - spec.delta)
@@ -561,10 +580,10 @@ def ref_normalized_kernel_arc_values(spec, X, g):
         sq = ad.reduce_sum(ad.mul(diff, diff), axis=1)
         scores = ad.mul(sq, -1.0 / (2.0 * spec.bandwidth ** 2))
     elif spec.kind == "power":
-        scores = ad.mul(ad.log(ad.clamped_norm(diff, spec.singularity_floor)),
+        scores = ad.mul(ad.log(ref_clamped_norm(diff, spec.singularity_floor)),
                         -(2.0 + spec.delta))
     else:
-        vals = ad.log(ad.clamped_norm(diff, spec.singularity_floor))
+        vals = ad.log(ref_clamped_norm(diff, spec.singularity_floor))
         sums = ad.segment_sum(vals, g.arc_src, g.n)
         s = sums.data[:, 0]
         bad = np.flatnonzero((g.degree > 0) & ~(np.isfinite(s) & (s > 0)))

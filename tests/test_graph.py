@@ -82,6 +82,14 @@ def test_conflicting_duplicate_weight_rejected():
         from_edge_list(2, [(0, 1), (1, 0)], weights=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("n", [8, graph_module._KEY_SIDE, graph_module._KEY_SIDE + 1, 2**62])
+def test_duplicates_are_grouped_for_any_node_count(n):
+    # for n = 2^62 the key a·n + b of (4, 7) would wrap to that of (0, 7);
+    # beyond _KEY_SIDE the pairs are grouped by a lexsort instead
+    with pytest.raises(ValueError, match=r"conflicting duplicate weights for edge \(0, 7\)"):
+        from_edge_list(n, [(0, 7), (4, 7), (7, 0)], weights=[1.0, 2.0, 3.0])
+
+
 def test_agreeing_duplicate_weight_collapses():
     g = from_edge_list(2, [(0, 1), (1, 0)], weights=[2.0, 2.0])
     assert g.num_edges == 1

@@ -78,6 +78,30 @@ def test_edge_list_fault_is_found_in_one_read_of_the_file(tmp_path, monkeypatch)
     assert opened == [path]
 
 
+GRAPH_ARRAYS = ("edge_u", "edge_v", "edge_weight", "arc_src", "arc_dst", "arc_weight",
+                "arc_offsets", "degree", "reverse_arc")
+
+
+def test_edge_list_reader_memory_is_the_graph_plus_a_block(tmp_path):
+    # a per-character copy of the whole file (UTF-32 or int64) would trace 5 to
+    # 10 MB beyond the graph's own arrays; a block of text stays below 2 MB
+    rng = np.random.default_rng(7)
+    u, v = rng.integers(0, 20000, size=(2, 110000))
+    keep = u != v
+    g = from_edge_list(20000, np.stack([u[keep], v[keep]], axis=1))
+    gio.write_edge_list(g, tmp_path / "graph.txt")
+    tracemalloc.start()
+    try:
+        got = gio.read_edge_list(tmp_path / "graph.txt")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.num_edges > 100000
+    for name in GRAPH_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(g, name)), name
+    assert peak < sum(getattr(got, name).nbytes for name in GRAPH_ARRAYS) + 2 * 2**20
+
+
 def test_malformed_csv_field_names_the_file_line(tmp_path):
     # line 5 of the file, after the header, three rows and a blank line
     gio.write_dataset(csbm_generate(CsbmConfig(n=6, p_intra=1.0, p_inter=0.0), seed=0), tmp_path)

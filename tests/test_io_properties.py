@@ -9,6 +9,7 @@ doubles, integral floats and non-finite values.
 """
 import hashlib
 import re
+import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -319,17 +320,30 @@ EDGE_LINES = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.lists(EDGE_LINES, max_size=12), st.one_of(st.none(), st.integers(0, 7)),
-       st.sampled_from((1, 3, None)))
-def test_edge_list_reader_reports_the_first_fault_like_the_loop_reader(lines, n, block):
-    # a small block parses the edge lines in several np.loadtxt calls
+# field separators: ASCII blanks and the other characters str.split() splits on,
+# none of them a line end in a file read with universal newlines
+SPACES = st.sampled_from((" ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+                          "\x85", "\xa0", "\u2003", "\u3000", " \u2028 "))
+
+
+def test_space_table_holds_what_str_split_splits_on():
+    spaces = [c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert np.flatnonzero(gio._SPACE).tolist() == spaces
+
+
+def _edge_outcomes(text, n, block=None):
+    """``read_edge_list`` and ``ref_read_edge_list`` on a file of ``text`` (written as
+    it is, line ends included), with ``block`` characters classified at a time."""
     with _scratch() as tmp, pytest.MonkeyPatch.context() as mp:
         if block is not None:
-            mp.setattr(gio, "EDGE_BLOCK", block)
+            mp.setattr(gio, "TEXT_BLOCK", block)
         path = tmp / "graph.txt"
-        path.write_text("\n".join(lines) + "\n")
-        got, ref = _outcome(gio.read_edge_list, path, n), _outcome(ref_read_edge_list, path, n)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        return path, _outcome(gio.read_edge_list, path, n), _outcome(ref_read_edge_list, path, n)
+
+
+def _assert_same_graph_or_fault(path, got, ref):
     if isinstance(ref, str) or isinstance(got, str):
         _assert_same_fault(got, ref, path)
     else:
@@ -337,3 +351,38 @@ def test_edge_list_reader_reports_the_first_fault_like_the_loop_reader(lines, n,
         np.testing.assert_array_equal(got.edge_u, ref.edge_u)
         np.testing.assert_array_equal(got.edge_v, ref.edge_v)
         assert _same_bits(got.edge_weight, ref.edge_weight)
+        assert _same_bits(got.arc_weight, ref.arc_weight)
+        for field in ("arc_src", "arc_dst", "arc_offsets", "degree", "reverse_arc"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(EDGE_LINES, max_size=12), st.one_of(st.none(), st.integers(0, 7)),
+       st.sampled_from((1, 3, 7, None)), SPACES, st.sampled_from(("\n", "\r", "\r\n")),
+       st.booleans())
+def test_edge_list_reader_reports_the_first_fault_like_the_loop_reader(lines, n, block, space,
+                                                                       end, last_end):
+    # a small block classifies the lines a few characters at a time, cutting most lines
+    text = end.join(line.replace(" ", space) for line in lines) + (end if last_end else "")
+    _assert_same_graph_or_fault(*_edge_outcomes(text, n, block))
+
+
+@pytest.mark.parametrize("text, faulty", [
+    ("0 1\r1 2 0.5\r", False),  # old Mac line ends
+    ("# nodes: 4\r\n0 1\r\n\r\n2 3 2\r\n", False),
+    ("0 1 0.5\n1 2", False),  # a last line without a line end
+    ("0 1\n  \t", False),
+    ("0\x0b1\x0c2\n1\x1c2\x1d0.5\n2\x1e3\x1f1\n3\xa04\u30000.25\n4\u20035\x85\n", False),
+    ("   # a comment\n\t#nodes: 9\n0 1\n", False),  # a # after leading blanks
+    ("0 1\n# nodes: 5\n1 2 2\n", False),  # the header after an edge
+    ("0 1\n1 2 3\n2 3\n3 4 0.5\n\n4 0\n", False),  # two and three fields mixed
+    ("0 1 #x\n", True),  # a field that starts with # is not a comment
+    ("0 1\n1 2 3 4\n0 x\n", True),  # the wrong field count comes first
+    ("0 x\n1 2 3 4\n", True),  # the field that does not parse comes first
+    ("0 1\n1 2\n0 x\n3\n", True),  # the same, in a later block than the first
+])
+@pytest.mark.parametrize("block", [1, 2, 5, None])
+def test_edge_list_reader_reads_awkward_text_like_the_loop_reader(text, faulty, block):
+    path, got, ref = _edge_outcomes(text, None, block)
+    _assert_same_graph_or_fault(path, got, ref)
+    assert isinstance(got, str) == faulty, got

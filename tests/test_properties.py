@@ -6,6 +6,7 @@ crossed with every kernel kind, row normalization, adjacency mode and
 activation. Features are bounded so that raw kernel row sums stay far from
 underflow in the oracle's explicit division.
 """
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -289,10 +290,13 @@ def test_cluster_diagnostics_match_the_oracles_across_sweep_windows(case, block)
     # a small distance block splits the seed batches and frontiers into many
     # windows of the sweep
     X, eps = case
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # the oracles' own squares may overflow
+        count, diameter_eps = ref_cluster_count(X, eps), ref_default_cluster_eps(X)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # an overflow is inf, and silent
         mp.setattr(diagnostics, "DISTANCE_BLOCK", block)
-        assert cluster_count(X, eps) == ref_cluster_count(X, eps)
-        assert default_cluster_eps(X).hex() == ref_default_cluster_eps(X).hex()
+        assert cluster_count(X, eps) == count
+        assert default_cluster_eps(X).hex() == diameter_eps.hex()
 
 
 def _central_difference(fn, x, h=1e-6):
