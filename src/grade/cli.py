@@ -9,7 +9,6 @@ codes: 0 success, 1 usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -38,15 +37,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _threads() -> int | None:
-    raw = os.environ.get("GRADE_THREADS")
-    if raw is None:
-        return None
-    if not raw.strip().isdigit() or int(raw) < 1:
-        raise ValueError(f"GRADE_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
 
 
 def _load_config(path) -> dict:
@@ -123,7 +113,6 @@ def _manifest(command: str, config: dict, seed, inputs, outputs, started: float)
         "inputs": inputs,
         "outputs": outputs,
         "version": __version__,
-        "threads": _threads(),
         "duration_s": time.time() - started,
     }
 
@@ -337,7 +326,6 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _threads()
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -57,6 +57,18 @@ class ClusterProfile:
     dwell_intervals: list[tuple[int, float, float]]
 
 
+def _overflow_is_inf(fn):
+    """``fn`` without numpy's overflow warnings: a coordinate range, difference
+    or square beyond the largest double is inf, and such points are as far
+    apart as inf says."""
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore"):
+            return fn(*args, **kwargs)
+    return quiet
+
+
+@_overflow_is_inf
 def dirichlet_energy(g: Graph, X: np.ndarray) -> float:
     """(1/N) sum_i sum_{j in N(i)} w_ij ||x_i - x_j||^2.
 
@@ -69,6 +81,7 @@ def dirichlet_energy(g: Graph, X: np.ndarray) -> float:
     return float(np.sum(g.arc_weight * g.arc_sq_distances(X)[0]) / g.n)
 
 
+@_overflow_is_inf
 def feature_spread(X: np.ndarray) -> float:
     """Max over node pairs of the infinity-norm feature distance.
 
@@ -91,21 +104,9 @@ def _sq_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
     Entry (i, j) equals ``np.sum((P[:, i] - Q[:, j]) ** 2)`` bit for bit:
     one subtract-and-square plane per coordinate, added in numpy's order.
+    Needs d >= 1; both callers return early on points of zero width.
     """
-    if not len(P):
-        return np.zeros((P.shape[1], Q.shape[1]))
     return pairwise_sum(lambda k: _square_plane(P, Q, k), len(P))
-
-
-def _overflow_is_inf(fn):
-    """``fn`` without numpy's overflow warnings: a coordinate range, difference
-    or square beyond the largest double is inf, and such points are as far
-    apart as inf says."""
-    @functools.wraps(fn)
-    def quiet(*args, **kwargs):
-        with np.errstate(over="ignore"):
-            return fn(*args, **kwargs)
-    return quiet
 
 
 def _finite(X: np.ndarray) -> np.ndarray:

@@ -468,16 +468,22 @@ def read_trajectory_csv(path) -> Trajectory:
     """Read the long format; every record lists the first record's nodes once, all finite.
 
     Rows with the same time form one record, in order of first appearance;
-    a record's rows may come in any order.
+    a record's rows may come in any order. Times must be finite and rise from
+    record to record; a time fault is reported before any node fault.
     """
     rows = _load_table(path, [("time", "f8"), ("node", "i8")], "f8")
     if not rows.size:
         raise ValueError(f"{path}: no records")
-    # NaN times never compare equal, so each NaN row is a record of its own
-    _, first, inverse = np.unique(rows["time"], return_index=True, return_inverse=True,
-                                  equal_nan=False)
+    bad = np.flatnonzero(~np.isfinite(rows["time"]))
+    if bad.size:
+        raise ValueError(f"{path} at t={rows['time'][bad[0]]:.17g}: time is not finite")
+    _, first, inverse = np.unique(rows["time"], return_index=True, return_inverse=True)
     record = np.argsort(np.argsort(first))[inverse]  # numbered in order of first appearance
     times = rows["time"][np.sort(first)]
+    back = np.flatnonzero(np.diff(times) <= 0)
+    if back.size:
+        raise ValueError(f"{path} at t={times[back[0] + 1]:.17g}: times must be strictly "
+                         "increasing")
     n = int(np.count_nonzero(record == 0))
     order = _node_order(rows["node"], record, n, lambda r: f"{path} at t={times[r]:.17g}")
     states = rows["values"][order].reshape(times.size, n, rows["values"].shape[1])

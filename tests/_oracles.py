@@ -436,15 +436,23 @@ def ref_write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def ref_read_trajectory_csv(path) -> Trajectory:
-    """Read the long format; every record lists the first record's nodes once, all finite."""
+    """Read the long format; every record lists the first record's nodes once, all finite.
+
+    Times must be finite and rise from record to record, checked before the nodes."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     by_time: dict[float, list[list[str]]] = {}
     for row in rows[1:]:
-        by_time.setdefault(float(row[0]), []).append(row[1:])
+        t = float(row[0])
+        if not math.isfinite(t):
+            raise ValueError(f"{path} at t={t:.17g}: time is not finite")
+        by_time.setdefault(t, []).append(row[1:])
     if not by_time:
         raise ValueError(f"{path}: no records")
     order = list(by_time)
+    for before, t in zip(order, order[1:]):
+        if not t > before:
+            raise ValueError(f"{path} at t={t:.17g}: times must be strictly increasing")
     n = len(by_time[order[0]])
     states = np.array([
         [[float(x) for x in feats] for feats in ref_by_node(by_time[t], n, f"{path} at t={t:.17g}")]

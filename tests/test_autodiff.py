@@ -344,6 +344,18 @@ def test_clamped_sqrt_of_arc_sq_distances_is_the_clamped_norm(case, floor):
             X, upstream)))
 
 
+def test_reduce_sum_rejects_axis_zero():
+    with pytest.raises(ValueError, match="unsupported axis 0"):
+        ad.reduce_sum(np.ones((2, 3)), axis=0)
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (1, 3)])
+def test_size_one_axis_gradient_sums_over_the_broadcast(shape, rng):
+    # the (4, 1) or (1, 3) parameter spreads over (4, 3) through mul and add
+    scale = rng.normal(size=(4, 3))
+    check_unary(lambda x: ad.add(ad.mul(x, scale), x), rng.normal(size=shape))
+
+
 def test_gather_rows_rejects_an_out_of_range_index():
     with pytest.raises(IndexError, match="index 5 is out of bounds for axis 0 with size 3"):
         ad.gather_rows(np.zeros((3, 2)), [0, 5])

@@ -177,6 +177,27 @@ def test_energy_on_features_whose_distances_overflow_warns_nothing(tmp_path):
     assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["eps"] == np.inf
 
 
+def test_energy_reports_overflowing_energy_and_spread_as_inf(dataset_dir, tmp_path, capsys):
+    # features of random sign along the graph's arcs: the arc differences of
+    # both records, their squares and the last record's coordinate range overflow
+    shape = gio.read_dataset(dataset_dir).features.shape
+    sign = np.random.default_rng(0).choice([-1.0, 1.0], size=shape)
+    gio.write_trajectory_csv(Trajectory(np.array([0.0, 1.0]), np.stack([sign * 1e154,
+                                                                        sign * 1e308]), 1),
+                             tmp_path / "t.csv")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch(["energy", "--dataset", str(dataset_dir), "--trajectory",
+                         str(tmp_path / "t.csv"), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert not caught
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "out" / "energy.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["0", "inf", "2.0000000000000001e+154"],
+                                                    ["1", "inf", "inf"]]
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["energy"], ["train", "--epochs", "1"]])
 def test_node_only_features_exit_1_naming_the_file(dataset_dir, tmp_path, capsys, command):
     features = dataset_dir / "features.csv"
@@ -282,15 +303,6 @@ def test_blowup_exits_two(dataset_dir, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_bad_threads_env_exits_one(dataset_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GRADE_THREADS", "zero")
-    assert dispatch(["generate", "--n", "10", "--out", str(tmp_path / "d")]) == 1
-    monkeypatch.setenv("GRADE_THREADS", "2")
-    assert dispatch(["generate", "--n", "10", "--out", str(tmp_path / "d")]) == 0
-    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
-    assert manifest["threads"] == 2
-
-
 def test_simulate_warns_when_euler_steps_over_the_dynamics(dataset_dir, tmp_path, capsys):
     # the README's default example: euler at step 1 steps over a finite-time blow-up
     assert dispatch(["simulate", "--dataset", str(dataset_dir), "--out", str(tmp_path / "a")]) == 0
@@ -310,31 +322,19 @@ def test_simulate_warns_when_euler_steps_over_the_dynamics(dataset_dir, tmp_path
     assert manifest["max_error_ratio"] is None
 
 
-def test_one_thread_simulate_forks_nothing_and_writes_the_same_bytes(dataset_dir, tmp_path,
-                                                                    monkeypatch):
-    argv = ["simulate", "--dataset", str(dataset_dir), "--aggregation", "off", "--horizon", "5"]
-    monkeypatch.delenv("GRADE_THREADS", raising=False)
-    assert dispatch([*argv, "--out", str(tmp_path / "unset")]) == 0
-    monkeypatch.setenv("GRADE_THREADS", "1")
-    monkeypatch.setattr(os, "fork", None)  # calling it would raise TypeError
-    assert dispatch([*argv, "--out", str(tmp_path / "one")]) == 0
-    for run in ("unset", "one"):
-        assert "writer_processes" not in json.loads((tmp_path / run / "manifest.json").read_text())
-    assert ((tmp_path / "one" / "trajectory.csv").read_bytes()
-            == (tmp_path / "unset" / "trajectory.csv").read_bytes())
-
-
 def test_simulate_writes_a_long_trajectory_without_a_child_process(dataset_dir, tmp_path,
                                                                    monkeypatch):
-    # 401 records of 100 nodes, with GRADE_THREADS unset and every CPU allowed
+    # 401 records of 100 nodes; nothing reads GRADE_THREADS, so even a bad value runs
     def no_fork():
         raise AssertionError("simulate forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.delenv("GRADE_THREADS", raising=False)
+    monkeypatch.setenv("GRADE_THREADS", "zero")
     assert dispatch(["simulate", "--dataset", str(dataset_dir), "--aggregation", "off",
                      "--activation", "identity", "--step", "0.01", "--horizon", "4",
                      "--out", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert not {"threads", "writer_processes"} & manifest.keys()
     path = tmp_path / "run" / "trajectory.csv"
     traj = gio.read_trajectory_csv(path)
     assert traj.states.size > 2 ** 16
@@ -598,6 +598,8 @@ def _with_config(tmp_path, command, dataset_dir, config, *flags):
     ("simulate", '{"attention": {"theta": [[1, 0], [0, 1]], "scale": NaN}}', "scale must be > 0"),
     ("train", '{"learning_rate": NaN, "epochs": 2}', "learning_rate and weight_decay must be >= 0"),
     ("train", '{"weight_decay": NaN, "epochs": 2}', "learning_rate and weight_decay must be >= 0"),
+    ("simulate", {"attention": 5}, "attention: expected a JSON object, got int"),
+    ("simulate", {"attention": {"scale": 2}}, "attention.theta: missing"),
 ])
 def test_malformed_config_exits_one_naming_the_key(dataset_dir, tmp_path, capsys,
                                                    command, config, named):

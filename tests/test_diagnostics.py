@@ -114,6 +114,17 @@ def test_cluster_count_rejects_bad_eps():
         cluster_count(np.zeros((2, 1)), eps=0.0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: diagnostics.EnergySeries(np.zeros(2), np.zeros(3)), "times and values must align"),
+    (lambda: diagnostics.EnergySeries(np.zeros(2), np.array([1.0, -1e-300])),
+     "Dirichlet energy is nonnegative"),
+    (lambda: feature_spread(np.zeros((0, 2))), "need at least one node"),
+])
+def test_energy_series_and_spread_check_their_inputs(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_cluster_diagnostics_reject_non_finite_features(bad):
     X = np.array([[0.0, 0.0], [bad, 1.0], [3.0, 4.0]])

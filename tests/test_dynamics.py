@@ -71,6 +71,28 @@ def test_attention_rejects_empty_neighborhood():
         attention_adjacency(np.zeros((3, 1)), ProjectionParams(np.zeros((1, 1))), g)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ActivationSpec("swish"), "unknown activation 'swish'"),
+    (lambda: DynamicsConfig(adjacency_mode="dense"), "unknown adjacency mode 'dense'"),
+])
+def test_dynamics_config_rejects_unknown_names(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_aggregation_term_takes_a_kernel_on_an_equal_graph():
+    rng = np.random.default_rng(3)
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    g, copy = from_edge_list(4, edges), from_edge_list(4, edges)
+    X = rng.normal(size=(4, 2))
+    cfg = DynamicsConfig(kernel=KernelSpec("gaussian"))
+    K = kernel_matrix(cfg.kernel, X, g)
+    np.testing.assert_array_equal(aggregation_term(cfg, copy, K, X),
+                                  aggregation_term(cfg, g, K, X))
+    with pytest.raises(ValueError, match="state row count must equal node count"):
+        aggregation_term(cfg, g, K, X[:3])
+
+
 def test_attention_scale_defaults_to_projected_dim():
     p = ProjectionParams(np.zeros((4, 2)))
     assert p.scale == 4.0

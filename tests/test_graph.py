@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from grade import (
     CsbmConfig,
+    Dataset,
     csbm_generate,
     from_edge_list,
     min_degree_node,
@@ -39,6 +40,34 @@ def test_self_loop_rejected():
 def test_out_of_range_rejected():
     with pytest.raises(ValueError, match="out of range"):
         from_edge_list(2, [(0, 2)])
+
+
+@pytest.mark.parametrize("n, edges, weights, message", [
+    (-1, [], None, "node count must be >= 0"),
+    (3, [(0, 1, 2)], None, r"edges must be \(u, v\) pairs"),
+    (3, [0, 1], None, r"edges must be \(u, v\) pairs"),
+    (3, [(0, 2**70)], None, "edge endpoint out of range: too large for a node id"),
+    (3, [(0, 1), (1, 2)], [1.0], "weights must match edges in length"),
+])
+def test_malformed_edge_list_rejected(n, edges, weights, message):
+    with pytest.raises(ValueError, match=message):
+        from_edge_list(n, edges, weights)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("features", np.zeros(4), r"features must be an \(n, d\) matrix"),
+    ("features", np.zeros((3, 2)), r"features must be an \(n, d\) matrix"),
+    ("labels", np.zeros(3, dtype=np.int64), "labels must have one entry per node"),
+    ("test_mask", np.array([True, False, False, False]), "masks must be disjoint"),
+])
+def test_dataset_rejects_misshapen_fields(field, value, message):
+    fields = {"features": np.zeros((4, 2)), "labels": np.zeros(4, dtype=np.int64),
+              "train_mask": np.array([True, False, False, False]),
+              "val_mask": np.array([False, True, False, False]),
+              "test_mask": np.array([False, False, True, True])}
+    Dataset(from_edge_list(4, [(0, 1)]), **fields)
+    with pytest.raises(ValueError, match=message):
+        Dataset(from_edge_list(4, [(0, 1)]), **{**fields, field: value})
 
 
 @pytest.mark.parametrize("edges, named", [
@@ -289,6 +318,8 @@ def test_csbm_config_validation():
         CsbmConfig(p_intra=1.5)
     with pytest.raises(ValueError):
         CsbmConfig(noise_std=-0.1)
+    with pytest.raises(ValueError, match="feat_dim must be >= 1"):
+        CsbmConfig(feat_dim=0)
     for noise in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="noise_std must be >= 0 and finite"):
             CsbmConfig(noise_std=noise)

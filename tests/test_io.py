@@ -184,6 +184,38 @@ def test_trajectory_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(again.states, traj.states)  # bit-exact
 
 
+@pytest.mark.parametrize("rows, fault", [
+    ([], ": no records"),
+    (["0,0,1", "inf,0,1"], " at t=inf: time is not finite"),
+    # a time fault is reported before the node fault of the same row
+    (["0,0,1", "nan,1,1", "-inf,0,1"], " at t=nan: time is not finite"),
+    (["0,0,1", "1,0,1", "0.5,0,1"], " at t=0.5: times must be strictly increasing"),
+    (["1,0,1", "0,5,1"], " at t=0: times must be strictly increasing"),
+])
+def test_trajectory_faults_name_the_file_and_the_time(tmp_path, rows, fault):
+    path = tmp_path / "t.csv"
+    path.write_text("time,node,f0\n" + "".join(row + "\n" for row in rows))
+    with pytest.raises(ValueError) as info:
+        gio.read_trajectory_csv(path)
+    assert str(info.value) == f"{path}{fault}"
+
+
+def test_trajectory_whose_first_data_line_is_blank_is_read(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("time,node,f0,f1\n\n0,1,3,4\n0,0,1,2\n")
+    traj = gio.read_trajectory_csv(path)
+    np.testing.assert_array_equal(traj.times, [0.0])
+    np.testing.assert_array_equal(traj.states, [[[1.0, 2.0], [3.0, 4.0]]])
+
+
+def test_labels_without_the_label_column_are_rejected_naming_the_file(tmp_path):
+    gio.write_dataset(csbm_generate(CsbmConfig(n=6, p_intra=1.0, p_inter=0.0), seed=0), tmp_path)
+    lines = (tmp_path / "labels.csv").read_text().split("\n")
+    (tmp_path / "labels.csv").write_text("\n".join(line.split(",")[0] for line in lines))
+    with pytest.raises(ValueError, match=r"labels.csv: expected 1 value columns after the node id"):
+        gio.read_dataset(tmp_path)
+
+
 def test_summary_json(tmp_path):
     path = tmp_path / "summary.json"
     gio.write_summary_json(path, [0.0, 1.0], [2.0, 1.0], [0.5, 0.25], [3, 2],

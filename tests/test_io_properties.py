@@ -222,9 +222,10 @@ def test_readers_parse_decimal_strings_as_float_does(literals):
 def faulty_trajectory_rows(draw):
     """Rows of a long-format trajectory with node ids and times drawn so that
     records may miss, repeat or overrun node ids and repeat times out of order,
-    and features may be non-finite."""
+    and times and features may be non-finite."""
     n = draw(st.integers(1, 5))
-    times = draw(st.lists(st.sampled_from((0.0, -0.0, 0.5, 1.0, 1e-300, float("nan"))),
+    times = draw(st.lists(st.sampled_from((0.0, -0.0, 0.5, 1.0, 1e-300, float("nan"),
+                                           float("inf"), -float("inf"))),
                           min_size=1, max_size=4))
     rows = []
     for t in times:

@@ -168,6 +168,22 @@ def test_row_normalize_rejects_negative_sum():
         row_normalize(K)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda g: ProjectionParams(np.ones(2)), "theta must be a 2-d matrix"),
+    (lambda g: KernelMatrix(g, np.ones(g.arc_src.size + 1)),
+     "values must align with the graph's arc table"),
+    (lambda g: kernel_arc_values(KernelSpec("gaussian"), np.zeros((g.n + 1, 2)), g),
+     "feature row count must equal node count"),
+    (lambda g: kernel_arc_values(KernelSpec("attention"), np.zeros((g.n, 2)), g),
+     "attention kernel is not radial"),
+    (lambda g: kernel_matrix(KernelSpec("gaussian"), np.full((g.n, 2), np.inf), g),
+     "state matrix must be finite"),
+])
+def test_kernel_inputs_are_checked(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(from_edge_list(3, [(0, 1), (1, 2)]))
+
+
 def test_row_normalize_rejects_nonfinite():
     g = from_edge_list(2, [(0, 1)])
     K = KernelMatrix(g, np.array([np.inf, 1.0]))

@@ -55,6 +55,12 @@ def test_euler_rejects_zero_step():
         euler_step(_zero, np.zeros((1, 1)), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1])
+def test_rk4_rejects_a_step_that_is_not_positive(step):
+    with pytest.raises(ValueError, match="step must be > 0"):
+        rk4_step(_zero, np.zeros((1, 1)), 0.0, step)
+
+
 def test_rk4_zero_field_identity():
     X = np.array([[1.0], [2.0]])
     np.testing.assert_array_equal(rk4_step(_zero, X, 0.0, 0.3), X)
@@ -204,6 +210,8 @@ def test_solver_config_validation():
         SolverConfig("dopri5", rel_tol=1e-13)
     with pytest.raises(ValueError):
         SolverConfig("euler", record_every=0)
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        SolverConfig("dopri5", max_steps=0)
 
 
 def test_trajectory_validation():
@@ -213,6 +221,8 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1, 1)), 1)
     with pytest.raises(ValueError, match="align"):
         Trajectory(np.array([0.0]), np.zeros((2, 1, 1)), 1)
+    with pytest.raises(ValueError, match="must contain the initial state"):
+        Trajectory(np.zeros(0), np.zeros((0, 1, 1)), 0)
 
 
 # The benchmark counts step attempts by wrapping solvers._check_finite

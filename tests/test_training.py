@@ -178,6 +178,10 @@ def test_loss_rejects_empty_mask():
         loss(np.zeros((2, 2)), np.zeros(2, dtype=int), np.zeros(2, bool))
 
 
+def test_accuracy_of_an_empty_mask_is_nan():
+    assert np.isnan(accuracy(np.zeros((2, 2)), np.zeros(2, dtype=int), np.zeros(2, bool)))
+
+
 def test_loss_masks_ignore_other_nodes():
     logits = np.array([[5.0, 0.0], [0.0, 5.0]])
     labels = np.array([0, 0])
@@ -396,6 +400,20 @@ def test_train_requires_masks():
 def test_train_config_rejects_adaptive_solver():
     with pytest.raises(ValueError, match="fixed-step"):
         TrainConfig(solver=SolverConfig("dopri5", horizon=1.0))
+
+
+def test_train_config_rejects_zero_epochs():
+    with pytest.raises(ValueError, match="epochs and hidden must be >= 1"):
+        TrainConfig(epochs=0)
+
+
+def test_finite_difference_grad_rejects_a_zero_step():
+    g = from_edge_list(2, [(0, 1)])
+    ds = Dataset(g, np.zeros((2, 1)), np.array([0, 1]),
+                 np.array([True, False]), np.array([False, True]), np.zeros(2, bool))
+    cfg = TrainConfig()
+    with pytest.raises(ValueError, match="h must be > 0"):
+        finite_difference_grad(init_params(ds, cfg), ds, cfg, h=0.0)
 
 
 def test_model_params_json_roundtrip():
