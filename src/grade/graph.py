@@ -82,7 +82,7 @@ class Graph:
 
     @cached_property
     def weighted_degree(self) -> np.ndarray:
-        wd = np.bincount(self.arc_src, weights=self.arc_weight, minlength=self.n)
+        wd = self.arc_sum(self.arc_weight)
         wd.setflags(write=False)
         return wd
 
@@ -222,18 +222,14 @@ def _pair_order(a: np.ndarray, b: np.ndarray, n: int, kind: str = "stable") -> n
 
 
 def _build_graph(n: int, eu: np.ndarray, ev: np.ndarray, w: np.ndarray) -> Graph:
-    """The graph of distinct validated canonical edges (u < v) given in any order;
-    the three arrays become its edge arrays, so the caller must not keep them.
+    """The graph of distinct validated canonical edges (u < v), which must come
+    sorted by (u, v): they are the arc table's arcs with src < dst, in order.
+    The three arrays become its edge arrays, so the caller must not keep them.
 
-    Sorted by (u, v), the edges are the arc table's arcs with src < dst, in
-    order. Row x of the arc table lists x's arcs to lower neighbours (the edges
+    Row x of the arc table lists x's arcs to lower neighbours (the edges
     (y, x) by y: one sort by (v, u)), then those to higher ones (the edges
     (x, y) by y), so the counts of both kinds per node place every arc.
     """
-    order = _pair_order(eu, ev, n)
-    if np.any(order[1:] < order[:-1]):
-        eu, ev, w = eu[order], ev[order], w[order]
-    del order
     m = eu.size
     up = np.bincount(eu, minlength=n)  # the arcs from each node to a higher one
     down = np.bincount(ev, minlength=n)  # and to a lower one

@@ -7,6 +7,7 @@ they describe.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import warnings
@@ -38,9 +39,19 @@ __all__ = [
 ]
 
 
+def _finite_or_null(obj):
+    """``obj`` with each non-finite float in it, at any depth, as None: JSON has no
+    inf or NaN, and each one written here is a nonnegative quantity that overflowed."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(path, obj: dict, sort_keys: bool = False) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+        json.dump(_finite_or_null(obj), fh, indent=2, sort_keys=sort_keys, allow_nan=False)
         fh.write("\n")
 
 

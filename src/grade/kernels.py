@@ -99,7 +99,7 @@ class KernelMatrix:
         return self.graph.arc_matrix(self.values).toarray()
 
     def row_sums(self) -> np.ndarray:
-        return np.bincount(self.graph.arc_src, weights=self.values, minlength=self.graph.n)
+        return self.graph.arc_sum(self.values)
 
 
 def kernel_scalar(spec: KernelSpec, z) -> float:
@@ -199,7 +199,7 @@ def normalized_kernel_arc_values(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
         return _neighbourhood_softmax(_log_kernel(spec, sq), g,
                                       f"row-normalized {spec.kind} kernel")
     vals = _kernel(spec, sq)
-    sums = ad.segment_sum(vals, g.arc_src, g.n)
+    sums = ad.arc_spmm(vals, np.ones((g.n, 1)), g)  # K 1
     s = sums.data[:, 0]
     bad = np.flatnonzero((g.degree > 0) & ~(np.isfinite(s) & (s > 0)))
     if bad.size:

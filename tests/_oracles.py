@@ -274,7 +274,7 @@ def ref_default_cluster_eps(X0: np.ndarray) -> float:
 # grade.io and grade.graph.from_edge_list used before their numpy rewrite,
 # kept as written: the new code must write the same bytes, parse the same
 # bits and raise the same first error. ref_from_edge_list hands its checked,
-# deduplicated edges, in dict order, to grade's own _build_graph.
+# deduplicated edges, sorted by (u, v), to grade's own _build_graph.
 # Since then the readers name the line of a malformed edge-list field and
 # reject a non-finite feature or edge weight, and these oracles do too.
 
@@ -326,9 +326,10 @@ def ref_from_edge_list(n, edges, weights=None) -> Graph:
             seen[key] = w
 
     if seen:
-        eu = np.array([k[0] for k in seen], dtype=np.int64)
-        ev = np.array([k[1] for k in seen], dtype=np.int64)
-        w = np.array([seen[k] for k in seen], dtype=np.float64)
+        keys = sorted(seen)
+        eu = np.array([k[0] for k in keys], dtype=np.int64)
+        ev = np.array([k[1] for k in keys], dtype=np.int64)
+        w = np.array([seen[k] for k in keys], dtype=np.float64)
     else:
         eu = np.zeros(0, dtype=np.int64)
         ev = np.zeros(0, dtype=np.int64)

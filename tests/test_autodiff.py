@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grade import autodiff as ad
-from grade import dirichlet_energy, from_edge_list
+from grade import KernelMatrix, dirichlet_energy, from_edge_list
 
 from _oracles import ref_clamped_norm
 
@@ -323,6 +323,18 @@ def test_arc_sum_is_the_scatter_over_arc_sources_bit_for_bit(case):
         -8, 9, size=(g.arc_src.size, 1))
     np.testing.assert_array_equal(_bits(g.arc_sum(V)),
                                   _bits(ad._scatter_rows(g.arc_src, V, g.n)))
+    # one value per arc: the kernel row sums and, on the same edges weighted,
+    # the weighted degrees, zero at isolated nodes
+    m = g.arc_src.size
+    v = rng.normal(size=m) * 10.0 ** rng.integers(-8, 9, size=m)
+    want = _bits(np.bincount(g.arc_src, weights=v, minlength=g.n))
+    np.testing.assert_array_equal(_bits(g.arc_sum(v)), want)
+    np.testing.assert_array_equal(_bits(KernelMatrix(g, v).row_sums()), want)
+    weights = np.abs(rng.normal(size=g.num_edges)) * 10.0 ** rng.integers(-8, 9, size=g.num_edges)
+    w = from_edge_list(g.n, np.stack([g.edge_u, g.edge_v], axis=1), weights)
+    np.testing.assert_array_equal(
+        _bits(w.weighted_degree),
+        _bits(np.bincount(w.arc_src, weights=w.arc_weight, minlength=g.n)))
 
 
 @settings(max_examples=200, deadline=None)

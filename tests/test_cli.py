@@ -174,7 +174,8 @@ def test_energy_on_features_whose_distances_overflow_warns_nothing(tmp_path):
                          str(tmp_path / "t.csv"), "--out", str(tmp_path / "out")])
     assert code == 0
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["eps"] == np.inf
+    verdict, manifest = _strict_json(tmp_path / "out")
+    assert manifest["config"]["eps"] is None and verdict["eps"] is None
 
 
 def test_energy_reports_overflowing_energy_and_spread_as_inf(dataset_dir, tmp_path, capsys):
@@ -196,6 +197,21 @@ def test_energy_reports_overflowing_energy_and_spread_as_inf(dataset_dir, tmp_pa
     rows = (tmp_path / "out" / "energy.csv").read_text().splitlines()[1:]
     assert [row.split(",")[:3] for row in rows] == [["0", "inf", "2.0000000000000001e+154"],
                                                     ["1", "inf", "inf"]]
+    verdict, manifest = _strict_json(tmp_path / "out")
+    assert verdict["energy"] == [None, None]
+    assert verdict["spread"] == [2.0000000000000001e+154, None]
+    assert verdict["energy_floor"] is None
+    assert manifest["config"]["eps"] is None
+
+
+def _strict_json(out):
+    """verdict.json and manifest.json in ``out``, read by a parser that rejects
+    the ``Infinity`` and ``NaN`` that RFC 8259 does not allow."""
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return [json.loads((out / name).read_text(), parse_constant=reject)
+            for name in ("verdict.json", "manifest.json")]
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["energy"], ["train", "--epochs", "1"]])
@@ -234,6 +250,13 @@ def test_grad_check_passes(capsys):
     assert code == 0
     assert "max relative error" in out
     assert "PASS" in out
+
+
+def test_grad_check_fails_and_exits_two_with_a_coarse_step(capsys):
+    # a finite-difference step of 0.5 is far too coarse for the 1e-5 threshold
+    code = dispatch(["grad-check", "--instances", "1", "--h", "0.5"])
+    assert code == 2
+    assert capsys.readouterr().out.splitlines()[-1] == "grad-check: FAIL"
 
 
 def test_train_outputs(dataset_dir, tmp_path):
@@ -301,6 +324,16 @@ def test_blowup_exits_two(dataset_dir, tmp_path, capsys):
     ])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_train_unroll_blowup_exits_two_naming_the_step(tmp_path, capsys):
+    # rk4 at the default step over a horizon of 4 steps over the unroll's blow-up
+    assert dispatch(["generate", "--n", "100", "--seed", "1", "--out", str(tmp_path / "ds")]) == 0
+    capsys.readouterr()
+    code = dispatch(["train", "--dataset", str(tmp_path / "ds"), "--method", "rk4",
+                     "--horizon", "4", "--epochs", "2", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "state blew up at unroll step 2 (t=1)" in capsys.readouterr().err
 
 
 def test_simulate_warns_when_euler_steps_over_the_dynamics(dataset_dir, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Cold start and structure: only commands that build a sparse matrix import
 scipy (``generate`` and ``energy --trajectory`` build none), neither they nor
 ``import grade.cli`` load a process-pool module (scipy itself loads
-``concurrent.futures``), and only one place in the source builds that matrix."""
+``concurrent.futures``), only one place in the source builds that matrix, and
+every per-node sum over the arcs goes through it."""
 import ast
 import os
 import subprocess
@@ -66,3 +67,21 @@ def test_only_graph_imports_scipy_and_one_call_builds_a_csr_array():
                 builds += called == "csr_array"
     assert importers == {"graph.py"}
     assert builds == 1
+
+
+def test_no_call_sums_over_arc_sources_outside_the_arc_csr():
+    # Graph.arc_sum (and ad.arc_spmm over it) is the one per-node sum over arcs
+    scatters = {"bincount", "segment_sum", "_scatter_rows"}
+    found = []
+    for path in sorted((SRC / "grade").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            arguments = [*node.args, *(keyword.value for keyword in node.keywords)]
+            if called in scatters and any(
+                    getattr(sub, "attr", getattr(sub, "id", None)) == "arc_src"
+                    for argument in arguments for sub in ast.walk(argument)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -214,6 +214,13 @@ def test_solver_config_validation():
         SolverConfig("dopri5", max_steps=0)
 
 
+def test_integrate_rejects_a_non_finite_initial_state():
+    X0 = np.zeros((3, 2))
+    X0[1, 0] = np.nan
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        integrate(_zero, X0, SolverConfig("euler", horizon=1.0))
+
+
 def test_trajectory_validation():
     from grade import Trajectory
 
