@@ -193,6 +193,9 @@ def _cmd_energy(args) -> int:
             raise ValueError(f"{', '.join(given)}: dynamics and solver settings do not apply "
                              "to a recorded --trajectory")
         ds, traj = gio.read_dataset(args.dataset), gio.read_trajectory_csv(args.trajectory)
+        if traj.states.shape[1] != ds.graph.n:
+            raise ValueError(f"{args.trajectory}: the trajectory has {traj.states.shape[1]} "
+                             f"nodes, the dataset {ds.graph.n}")
         config = {"trajectory": str(args.trajectory)}
         inputs = [str(args.dataset), str(args.trajectory)]
     else:

@@ -143,7 +143,7 @@ def rhs_ops(
     X: ad.Tensor,
     theta: ad.Tensor | None = None,
 ) -> ad.Tensor:
-    """Tensor-level RHS; ``theta`` overrides the config's projection matrix.
+    """Tensor-level RHS; the attention projection is ``cfg.attention`` or the tensor ``theta``.
 
     Used directly by the training unroll so gradients flow through the
     attention softmax and the kernel. Plain evaluation goes through

@@ -455,6 +455,10 @@ def read_dataset(in_dir) -> Dataset:
     if bad.size:
         raise ValueError(f"{src / 'features.csv'}: node {bad[0][0]} has a non-finite feature")
     labels = _read_table(src / "labels.csv", n, "i8", 1)[:, 0]
+    bad = np.flatnonzero(labels < 0)
+    if bad.size:
+        raise ValueError(f"{src / 'labels.csv'}: node {bad[0]} has label {labels[bad[0]]}; "
+                         "labels must be >= 0")
     masks = _read_table(src / "masks.csv", n, "i8", 3).astype(bool)
     return Dataset(graph, features, labels, *masks.T)
 

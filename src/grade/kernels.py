@@ -8,7 +8,7 @@ sees the blow-up at coincident features.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,13 +57,13 @@ class KernelSpec:
     """Choice of interaction kernel plus its numeric knobs.
 
     Only the fields of the chosen kind are consulted: ``delta`` for power
-    (exponent -2-delta), ``bandwidth`` for gaussian, ``theta`` for attention.
+    (exponent -2-delta), ``bandwidth`` for gaussian. The attention projection
+    is ``DynamicsConfig.attention`` (in training, ``ModelParams.theta``).
     """
 
     kind: str
     delta: float = 0.0
     bandwidth: float = 1.0
-    theta: ProjectionParams | None = None
     normalize_rows: bool = False
     singularity_floor: float = 1e-6
 
@@ -77,10 +77,7 @@ class KernelSpec:
         if not self.singularity_floor > 0:
             raise ValueError("singularity_floor must be > 0")
 
-    def to_json(self) -> dict:
-        # theta travels with model parameters, not with the kernel config
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "theta"}
-
+    to_json = to_fields
     from_json = classmethod(from_fields)
 
 
@@ -152,15 +149,15 @@ def attention_arc_values(
     """Per-arc attention weights, as a column: softmax over each source
     neighborhood of the scores (theta x_u)^T (theta x_v) / scale.
 
-    ``theta``, when given, replaces the matrix of ``params`` (the training
-    unroll passes its parameter tensor so gradients reach it); without
-    ``params`` the scale is then the projected dimension.
+    The projection is ``params``, or the tensor ``theta`` with the projected
+    dimension as its scale (the training unroll passes its parameter tensor
+    so gradients reach it); exactly one of the two must be given.
     """
-    if theta is None:
-        if params is None:
-            raise ValueError("attention needs projection parameters")
-        theta = ad.constant(params.theta)
-    scale = params.scale if params is not None else float(theta.data.shape[0])
+    if (params is None) == (theta is None):
+        raise ValueError("attention needs projection parameters" if theta is None else
+                         "attention takes projection parameters or a theta tensor, not both")
+    scale = float(theta.data.shape[0]) if params is None else params.scale
+    theta = ad.constant(params.theta) if theta is None else theta
     X = _node_rows(X, g)
     if theta.data.shape[1] != X.data.shape[1]:
         raise ValueError("projection theta columns must match feature dimension")
@@ -217,21 +214,20 @@ def kernel_weights(
 ) -> ad.Tensor:
     """The per-arc kernel column of the dynamics, and of :func:`kernel_matrix`.
 
-    Attention is the projected softmax, with its projection taken from
-    ``spec.theta``, else from ``attention``, and its matrix overridden by
-    ``theta``; a radial kernel with ``normalize_rows`` is the
-    per-neighborhood softmax of :func:`normalized_kernel_arc_values`;
-    otherwise it is the raw radial kernel.
+    Attention is :func:`attention_arc_values` with the projection
+    ``attention`` or the tensor ``theta``; a radial kernel with
+    ``normalize_rows`` is the per-neighborhood softmax of
+    :func:`normalized_kernel_arc_values`; otherwise it is the raw radial kernel.
     """
     if spec.kind == "attention":
-        params = spec.theta if spec.theta is not None else attention
-        return attention_arc_values(X, params, g, theta)
+        return attention_arc_values(X, attention, g, theta)
     if spec.normalize_rows:
         return normalized_kernel_arc_values(spec, X, g)
     return kernel_arc_values(spec, X, g)
 
 
-def kernel_matrix(spec: KernelSpec, X: np.ndarray, g: Graph) -> KernelMatrix:
+def kernel_matrix(spec: KernelSpec, X: np.ndarray, g: Graph,
+                  attention: ProjectionParams | None = None) -> KernelMatrix:
     """Evaluate the kernel on every edge of ``g`` at state ``X``.
 
     The values are exactly those the dynamics use (:func:`kernel_weights`).
@@ -241,7 +237,7 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, g: Graph) -> KernelMatrix:
     X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise ValueError("state matrix must be finite")
-    return KernelMatrix(g, kernel_weights(spec, X, g).data.reshape(-1))
+    return KernelMatrix(g, kernel_weights(spec, X, g, attention).data.reshape(-1))
 
 
 def row_normalize(k: KernelMatrix) -> KernelMatrix:

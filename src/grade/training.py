@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .codec import from_fields, to_fields
 from .dynamics import DynamicsConfig, rhs_ops
 from .graph import Dataset, from_edge_list
-from .kernels import KernelSpec, ProjectionParams
+from .kernels import KernelSpec
 from .solvers import (FIXED_STEP_METHODS, NumericalError, SolverConfig, fixed_steps,
                       record_trajectory)
 
@@ -81,6 +81,8 @@ class TrainConfig:
             raise ValueError("learning_rate and weight_decay must be >= 0")
         if self.epochs < 1 or self.hidden < 1:
             raise ValueError("epochs and hidden must be >= 1")
+        if self.dynamics.attention is not None:
+            raise ValueError("dynamics.attention: training learns its projection (model.theta)")
 
     to_json = to_fields
 
@@ -283,13 +285,7 @@ def _random_instance(seed: int, h: float):
             normalize_rows=(kind == "gaussian" and seed % 2 == 0),
         )
         adjacency = "attention" if seed % 2 == 1 else "static_row_normalized"
-        dyn = DynamicsConfig(
-            adjacency_mode=adjacency,
-            attention=ProjectionParams(np.zeros((hidden, hidden)))
-            if (adjacency == "attention" or kind == "attention")
-            else None,
-            kernel=kernel,
-        )
+        dyn = DynamicsConfig(adjacency_mode=adjacency, kernel=kernel)
         steps = int(rng.integers(1, 6))
         cfg = TrainConfig(
             dynamics=dyn,
@@ -317,7 +313,8 @@ def _random_instance(seed: int, h: float):
         margin = _clamp_margin(traj.states, g, kernel)
         if margin > 10.0 * h:
             return ds, params, cfg
-    raise RuntimeError("could not draw a clamp-safe random instance")
+    raise ValueError(f"h={h:g}: no random instance keeps its edge distances 10h clear of "
+                     "the singularity clamp; use a smaller h")
 
 
 def _clamp_margin(states, g, kernel) -> float:
@@ -348,8 +345,10 @@ def gradient_check(seed: int, instances: int = 20, h: float = 1e-5):
 
     Returns (overall max relative error, per-instance errors).
     """
-    if not h > 0:  # a NaN h would never draw a clamp-safe instance
-        raise ValueError("h must be > 0")
+    if not 0 < h < np.inf:  # a NaN or infinite h would never draw a clamp-safe instance
+        raise ValueError(f"h must be > 0 and finite, got {h}")
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
     errors = []
     for i in range(instances):
         ds, params, cfg = _random_instance(seed + i, h)

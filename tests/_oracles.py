@@ -127,8 +127,7 @@ def dense_rhs(g, cfg, X: np.ndarray) -> np.ndarray:
             A = dense_row_normalized(g)
         out += dense_diffusion(A, cfg.activation.kind, X)
     if cfg.aggregation_on:
-        spec = cfg.kernel
-        params = spec.theta if spec.theta is not None else cfg.attention
+        spec, params = cfg.kernel, cfg.attention
         K = dense_kernel_matrix(
             g, spec.kind, X, spec.delta, spec.bandwidth, spec.singularity_floor,
             normalize_rows=spec.normalize_rows and spec.kind != "attention",
@@ -411,7 +410,8 @@ def ref_read_table(path, n: int) -> list[list[str]]:
 
 
 def ref_read_dataset(in_dir) -> Dataset:
-    """Read a bundle; every per-node file must list each node exactly once."""
+    """Read a bundle; every per-node file must list each node exactly once,
+    and every label must be >= 0."""
     src = Path(in_dir)
     for name in ("graph.txt", "features.csv", "labels.csv", "masks.csv"):
         if not (src / name).exists():
@@ -424,6 +424,10 @@ def ref_read_dataset(in_dir) -> Dataset:
         if not all(math.isfinite(x) for x in row):
             raise ValueError(f"{src / 'features.csv'}: node {node} has a non-finite feature")
     labels = np.array([int(row[0]) for row in ref_read_table(src / "labels.csv", n)], dtype=np.int64)
+    for node, label in enumerate(labels):
+        if label < 0:
+            raise ValueError(f"{src / 'labels.csv'}: node {node} has label {label}; "
+                             "labels must be >= 0")
     masks = np.array([[bool(int(x)) for x in row[:3]] for row in ref_read_table(src / "masks.csv", n)])
     return Dataset(graph, features, labels, *masks.T)
 
@@ -521,15 +525,17 @@ def ref_csbm_generate(cfg, seed: int) -> Dataset:
 
 
 def ref_attention_arc_values(X, params, g, theta=None):
-    """Per-arc attention column; ``theta`` replaces ``params``' matrix."""
+    """Per-arc attention column; the projection is ``params`` or the tensor
+    ``theta`` (scaled by its row count), never both."""
     from grade import autodiff as ad
 
-    if theta is not None:
-        scale = params.scale if params is not None else float(theta.data.shape[0])
-    elif params is None:
-        raise ValueError("attention needs projection parameters")
-    else:
+    if (params is None) == (theta is None):
+        raise ValueError("attention needs projection parameters" if theta is None else
+                         "attention takes projection parameters or a theta tensor, not both")
+    if theta is None:
         theta, scale = ad.constant(params.theta), params.scale
+    else:
+        scale = float(theta.data.shape[0])
     if np.any(g.degree == 0):
         empty = int(np.flatnonzero(g.degree == 0)[0])
         raise ValueError(f"attention undefined: node {empty} has no neighbors")
@@ -605,12 +611,11 @@ def ref_normalized_kernel_arc_values(spec, X, g):
 
 
 def ref_kernel_weights(spec, X, g, attention=None, theta=None):
-    """The kernel column of the dynamics: attention from ``spec.theta``, else
-    ``attention``, with its matrix replaced by ``theta``; else the radial
-    kernel, row-normalized when ``spec.normalize_rows``."""
+    """The kernel column of the dynamics: attention with the projection
+    ``attention`` or the tensor ``theta``; else the radial kernel,
+    row-normalized when ``spec.normalize_rows``."""
     if spec.kind == "attention":
-        params = spec.theta if spec.theta is not None else attention
-        return ref_attention_arc_values(X, params, g, theta)
+        return ref_attention_arc_values(X, attention, g, theta)
     if spec.normalize_rows:
         return ref_normalized_kernel_arc_values(spec, X, g)
     return ref_kernel_arc_values(spec, X, g)

@@ -240,8 +240,7 @@ def test_criterion_5_node_form_oracle_equivalence():
         cfg = DynamicsConfig(
             activation=ActivationSpec(act),
             attention=theta,
-            kernel=KernelSpec(kinds[trial % 4], delta=0.4, bandwidth=1.2,
-                              theta=theta),
+            kernel=KernelSpec(kinds[trial % 4], delta=0.4, bandwidth=1.2),
             diffusion_on=True,
             aggregation_on=True,
         )
@@ -252,8 +251,8 @@ def test_criterion_5_node_form_oracle_equivalence():
         worst = max(worst, float(np.max(np.abs(got - want))))
 
         for kind in kinds:
-            spec = KernelSpec(kind, delta=0.4, bandwidth=1.2, theta=theta)
-            K = kernel_matrix(spec, X, g)
+            spec = KernelSpec(kind, delta=0.4, bandwidth=1.2)
+            K = kernel_matrix(spec, X, g, attention=theta)
             got = aggregation_term(cfg, g, K, X)
             dense_K = dense_kernel_matrix(
                 g, kind, X, delta=0.4, bandwidth=1.2,
@@ -286,7 +285,6 @@ def test_criterion_6_degenerate_linear_diffusion_forward():
             dynamics=DynamicsConfig(
                 activation=ActivationSpec("identity"),
                 adjacency_mode="attention",
-                attention=ProjectionParams(np.zeros((hidden, hidden))),
                 kernel=KernelSpec("gaussian"),
                 diffusion_on=True,
                 aggregation_on=False,

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: commands, config precedence, exit codes, manifests."""
 import copy
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -14,9 +15,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grade import (
+    ActivationSpec,
     Dataset,
     DynamicsConfig,
     KernelSpec,
+    ProjectionParams,
     SolverConfig,
     TrainConfig,
     Trajectory,
@@ -464,6 +467,17 @@ def test_bundle_malformed_field_exits_one(dataset_dir, tmp_path, capsys, name, c
     assert f"{name}:5: could not convert string '{text}'" in err and "Traceback" not in err
 
 
+def test_trajectory_of_another_node_count_exits_one_naming_the_file(dataset_dir, tmp_path,
+                                                                     capsys):
+    path = tmp_path / "t.csv"
+    gio.write_trajectory_csv(Trajectory(np.array([0.0, 1.0]), np.zeros((2, 20, 3)), 1), path)
+    code = dispatch(["energy", "--dataset", str(dataset_dir), "--trajectory", str(path),
+                     "--out", str(tmp_path / "e")])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: {path}: the trajectory has 20 nodes, "
+                                       "the dataset 100\n")
+
+
 def test_trajectory_missing_node_exits_one(dataset_dir, tmp_path, capsys):
     run = tmp_path / "run"
     assert dispatch(["simulate", "--dataset", str(dataset_dir), "--method", "euler",
@@ -633,12 +647,37 @@ def _with_config(tmp_path, command, dataset_dir, config, *flags):
     ("train", '{"weight_decay": NaN, "epochs": 2}', "learning_rate and weight_decay must be >= 0"),
     ("simulate", {"attention": 5}, "attention: expected a JSON object, got int"),
     ("simulate", {"attention": {"scale": 2}}, "attention.theta: missing"),
+    ("train", {"dynamics": {"attention": {"theta": [[1, 0], [0, 1]]}}},
+     "dynamics.attention: training learns its projection (model.theta)"),
 ])
 def test_malformed_config_exits_one_naming_the_key(dataset_dir, tmp_path, capsys,
                                                    command, config, named):
     assert _with_config(tmp_path, command, dataset_dir, config) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+_KERNEL = KernelSpec("power", delta=0.5, bandwidth=2.0, normalize_rows=True,
+                     singularity_floor=1e-4)
+_SOLVER = SolverConfig("rk4", step=0.25, horizon=2.0, rel_tol=1e-5, abs_tol=1e-8,
+                       max_steps=500, record_every=2)
+_PROJECTION = ProjectionParams(np.arange(6.0).reshape(2, 3), scale=2.5)
+
+
+@pytest.mark.parametrize("config", [
+    _KERNEL,
+    _PROJECTION,
+    DynamicsConfig(ActivationSpec("relu"), "attention", _KERNEL, diffusion_on=False,
+                   attention=_PROJECTION),
+    _SOLVER,
+    TrainConfig(DynamicsConfig(kernel=_KERNEL, aggregation_on=False), _SOLVER,
+                learning_rate=0.1, epochs=3, weight_decay=0.0, seed=5, hidden=4),
+], ids=lambda config: type(config).__name__)
+def test_every_config_field_travels_through_json(config):
+    # every field set: a field that to_json drops could be neither read back nor recorded
+    obj = json.loads(json.dumps(config.to_json()))
+    assert list(obj) == [f.name for f in dataclasses.fields(config)]
+    assert type(config).from_json(obj).to_json() == obj
 
 
 @pytest.mark.parametrize("command, flags, named", [
@@ -659,6 +698,10 @@ def test_malformed_config_exits_one_naming_the_key(dataset_dir, tmp_path, capsys
     ("simulate", ["--method", "dopri5", "--horizon", "inf"], "horizon must be >= 0 and finite"),
     ("train", ["--epochs", "2", "--step", "inf"], "step must be > 0 and finite"),
     ("simulate", ["--method", "dopri5", "--step", "inf"], "step must be > 0 and finite"),
+    ("grad-check", ["--instances", "0"], "instances must be >= 1, got 0"),
+    ("grad-check", ["--instances", "1", "--h", "inf"], "h must be > 0 and finite, got inf"),
+    ("grad-check", ["--instances", "1", "--h", "1e300", "--seed", "1"],
+     "h=1e+300: no random instance keeps its edge distances 10h clear"),
 ])
 def test_non_finite_flag_exits_one_naming_it(dataset_dir, tmp_path, capsys,
                                               command, flags, named):

@@ -208,6 +208,18 @@ def test_trajectory_whose_first_data_line_is_blank_is_read(tmp_path):
     np.testing.assert_array_equal(traj.states, [[[1.0, 2.0], [3.0, 4.0]]])
 
 
+def test_negative_label_is_rejected_naming_the_file_and_node(tmp_path):
+    # a train node's -1 would pick the last class; a val or test node's could never be predicted
+    gio.write_dataset(csbm_generate(CsbmConfig(n=6, p_intra=1.0, p_inter=0.0), seed=0), tmp_path)
+    lines = (tmp_path / "labels.csv").read_text().split("\n")
+    lines[3], lines[5] = "2,-1", "4,-3"
+    (tmp_path / "labels.csv").write_text("\n".join(lines))
+    with pytest.raises(ValueError) as info:
+        gio.read_dataset(tmp_path)
+    assert str(info.value) == (f"{tmp_path / 'labels.csv'}: node 2 has label -1; "
+                               "labels must be >= 0")
+
+
 def test_labels_without_the_label_column_are_rejected_naming_the_file(tmp_path):
     gio.write_dataset(csbm_generate(CsbmConfig(n=6, p_intra=1.0, p_inter=0.0), seed=0), tmp_path)
     lines = (tmp_path / "labels.csv").read_text().split("\n")

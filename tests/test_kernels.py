@@ -124,7 +124,7 @@ def test_attention_matrix_rows_sum_to_one():
     g = random_connected_graph(rng, 6)
     X = rng.normal(size=(6, 3))
     theta = ProjectionParams(rng.normal(size=(2, 3)))
-    K = kernel_matrix(KernelSpec("attention", theta=theta), X, g)
+    K = kernel_matrix(KernelSpec("attention"), X, g, attention=theta)
     np.testing.assert_allclose(K.row_sums(), np.ones(6), atol=1e-12)
     expected = dense_kernel_matrix(g, "attention", X, theta=theta.theta, scale=theta.scale)
     np.testing.assert_allclose(K.toarray(), expected, atol=1e-12)
@@ -140,7 +140,7 @@ def test_attention_dimension_mismatch():
     g = from_edge_list(2, [(0, 1)])
     theta = ProjectionParams(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="match"):
-        kernel_matrix(KernelSpec("attention", theta=theta), np.zeros((2, 2)), g)
+        kernel_matrix(KernelSpec("attention"), np.zeros((2, 2)), g, attention=theta)
 
 
 def test_row_normalize_basic():
@@ -272,7 +272,7 @@ def _weights_and_grads(weights, spec, X, g, attention, theta):
     seed=st.integers(0, 2 ** 32 - 1),
     kind=st.sampled_from(("log", "power", "gaussian", "attention")),
     normalize=st.booleans(),
-    params_from=st.sampled_from(("spec.theta", "cfg.attention", "none")),
+    params_from=st.sampled_from(("cfg.attention", "none")),
     tensor=st.booleans(),
     weighted=st.booleans(),
     components=st.integers(1, 2),
@@ -288,10 +288,8 @@ def test_kernel_weights_are_the_pre_change_kernels_bit_for_bit(
     X = rng.uniform(-2.0, 2.0, size=(g.n, d))
     if rng.random() < 0.3:
         X[1] = X[0]  # a coincident pair puts the singular kernels on their clamp
-    own = ProjectionParams(rng.normal(size=(k, d)), scale=float(rng.choice([0.0, 0.7])))
-    shared = ProjectionParams(rng.normal(size=(k, d)))
-    spec = KernelSpec(kind, delta=0.4, bandwidth=0.8, normalize_rows=normalize,
-                      theta=own if params_from == "spec.theta" else None)
+    shared = ProjectionParams(rng.normal(size=(k, d)), scale=float(rng.choice([0.0, 0.7])))
+    spec = KernelSpec(kind, delta=0.4, bandwidth=0.8, normalize_rows=normalize)
     attention = None if params_from == "none" else shared
     theta = rng.normal(size=(k, d)) if tensor else None
 
@@ -328,11 +326,12 @@ def test_kernel_scalar_is_the_arc_kernel_on_one_edge(kind, z):
 
 
 @pytest.mark.parametrize("spec, named", [
-    (KernelSpec("attention", theta=ProjectionParams(np.eye(2))), "attention"),
+    (KernelSpec("attention"), "attention"),
     (KernelSpec("gaussian", normalize_rows=True), "row-normalized gaussian kernel"),
     (KernelSpec("power", normalize_rows=True), "row-normalized power kernel"),
 ])
 def test_softmax_kernel_names_the_node_without_neighbors(spec, named):
     g = from_edge_list(5, [(0, 1), (1, 2), (2, 4)])
     with pytest.raises(ValueError, match=f"{named} undefined: node 3 has no neighbors"):
-        kernel_matrix(spec, np.arange(10.0).reshape(5, 2), g)
+        kernel_matrix(spec, np.arange(10.0).reshape(5, 2), g,
+                      attention=ProjectionParams(np.eye(2)))

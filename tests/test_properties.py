@@ -61,16 +61,13 @@ def _graph(rng, n, graph):
     return random_graph(rng, sizes, weighted="weighted" in graph), sizes
 
 
-def _instance(seed, kind, normalize, mode, activation, own_theta, graph="connected"):
+def _instance(seed, kind, normalize, mode, activation, graph="connected"):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(2, 9)), int(rng.integers(1, 4))
     g, _ = _graph(rng, n, graph)
     X = rng.uniform(-1.0, 1.0, size=(g.n, d))
     shared = ProjectionParams(rng.normal(size=(2, d)))
-    spec = KernelSpec(
-        kind, delta=0.4, bandwidth=0.9, normalize_rows=normalize,
-        theta=ProjectionParams(rng.normal(size=(3, d))) if own_theta else None,
-    )
+    spec = KernelSpec(kind, delta=0.4, bandwidth=0.9, normalize_rows=normalize)
     cfg = DynamicsConfig(
         activation=ActivationSpec(activation), adjacency_mode=mode,
         attention=shared, kernel=spec,
@@ -89,7 +86,6 @@ _cases = dict(
     normalize=st.booleans(),
     mode=st.sampled_from(MODES),
     activation=st.sampled_from(ACTIVATIONS),
-    own_theta=st.booleans(),
 )
 
 
@@ -107,22 +103,21 @@ def _check_rhs_against_oracle(g, X, cfg):
 
 @settings(max_examples=150, deadline=None)
 @given(**_cases)
-def test_rhs_matches_dense_oracle(seed, kind, normalize, mode, activation, own_theta):
-    _check_rhs_against_oracle(*_instance(seed, kind, normalize, mode, activation, own_theta))
+def test_rhs_matches_dense_oracle(seed, kind, normalize, mode, activation):
+    _check_rhs_against_oracle(*_instance(seed, kind, normalize, mode, activation))
 
 
 @settings(max_examples=150, deadline=None)
 @given(graph=st.sampled_from(GRAPHS), **_cases)
 def test_rhs_matches_dense_oracle_on_weighted_and_disconnected_graphs(
-        graph, seed, kind, normalize, mode, activation, own_theta):
-    _check_rhs_against_oracle(
-        *_instance(seed, kind, normalize, mode, activation, own_theta, graph))
+        graph, seed, kind, normalize, mode, activation):
+    _check_rhs_against_oracle(*_instance(seed, kind, normalize, mode, activation, graph))
 
 
 @settings(max_examples=100, deadline=None)
 @given(graph=st.sampled_from(("connected",) + GRAPHS), **_cases)
-def test_rhs_is_permutation_equivariant(graph, seed, kind, normalize, mode, activation, own_theta):
-    g, X, cfg = _instance(seed, kind, normalize, mode, activation, own_theta, graph)
+def test_rhs_is_permutation_equivariant(graph, seed, kind, normalize, mode, activation):
+    g, X, cfg = _instance(seed, kind, normalize, mode, activation, graph)
     if kind == "log" and normalize and not _log_rows_normalizable(g, X, cfg.kernel):
         return
     perm = np.random.default_rng(seed).permutation(g.n)  # new node i is old node perm[i]
@@ -137,22 +132,19 @@ def test_rhs_is_permutation_equivariant(graph, seed, kind, normalize, mode, acti
 
 @settings(max_examples=150, deadline=None)
 @given(**_cases)
-def test_kernel_matrix_is_the_kernel_of_the_rhs(seed, kind, normalize, mode, activation, own_theta):
-    g, X, cfg = _instance(seed, kind, normalize, mode, activation, own_theta)
+def test_kernel_matrix_is_the_kernel_of_the_rhs(seed, kind, normalize, mode, activation):
+    g, X, cfg = _instance(seed, kind, normalize, mode, activation)
     spec = cfg.kernel
-    if kind == "attention" and spec.theta is None:
-        spec = replace(spec, theta=cfg.attention)
     if kind == "log" and normalize and not _log_rows_normalizable(g, X, spec):
         return
-    K = kernel_matrix(spec, X, g)
-    aggregation_only = replace(cfg, kernel=spec, diffusion_on=False)
+    K = kernel_matrix(spec, X, g, attention=cfg.attention)
+    aggregation_only = replace(cfg, diffusion_on=False)
     np.testing.assert_array_equal(aggregation_term(aggregation_only, g, K, X),
                                   rhs(aggregation_only, g, X))
     dense = dense_kernel_matrix(
         g, kind, X, spec.delta, spec.bandwidth, spec.singularity_floor,
         normalize_rows=normalize and kind != "attention",
-        theta=spec.theta.theta if spec.theta else None,
-        scale=spec.theta.scale if spec.theta else None,
+        theta=cfg.attention.theta, scale=cfg.attention.scale,
     )
     scale = max(1.0, float(np.max(np.abs(dense))))
     assert float(np.max(np.abs(K.toarray() - dense))) <= 1e-12 * scale
@@ -358,8 +350,8 @@ def _run(cfg, g, X0, solver):
 @settings(max_examples=60, deadline=None)
 @given(method=st.sampled_from(("euler", "rk4")), record_every=st.integers(1, 3), **_cases)
 def test_fixed_step_integration_replays_bit_for_bit(
-        method, record_every, seed, kind, normalize, mode, activation, own_theta):
-    g, X, cfg = _instance(seed, kind, normalize, mode, activation, own_theta, "weighted")
+        method, record_every, seed, kind, normalize, mode, activation):
+    g, X, cfg = _instance(seed, kind, normalize, mode, activation, "weighted")
     if kind == "log" and normalize and not _log_rows_normalizable(g, X, cfg.kernel):
         return
     solver = SolverConfig(method, step=0.1, horizon=0.5, record_every=record_every)

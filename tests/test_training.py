@@ -14,7 +14,6 @@ from grade import (
     DynamicsConfig,
     KernelSpec,
     ModelParams,
-    ProjectionParams,
     SolverConfig,
     TrainConfig,
     csbm_generate,
@@ -305,7 +304,6 @@ def test_forward_equals_dedicated_linear_diffusion_implementation():
             dynamics=DynamicsConfig(
                 activation=ActivationSpec("identity"),
                 adjacency_mode="attention",
-                attention=ProjectionParams(np.zeros((hidden, hidden))),
                 kernel=KernelSpec("gaussian"),
                 diffusion_on=True,
                 aggregation_on=False,
@@ -468,8 +466,7 @@ def _reference_train(ds, cfg):
 
 _NOISY_TRAIN_CONFIGS = [
     DynamicsConfig(kernel=KernelSpec("gaussian", normalize_rows=True)),
-    DynamicsConfig(adjacency_mode="attention", kernel=KernelSpec("attention"),
-                   attention=ProjectionParams(np.zeros((4, 4)))),
+    DynamicsConfig(adjacency_mode="attention", kernel=KernelSpec("attention")),
 ]
 
 
