@@ -136,9 +136,24 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> dict[str, str]:
     return {a.dest: a.option_strings[0] for a in actions}
 
 
+def _check_projection(dyn: DynamicsConfig, d: int) -> None:
+    """Reject a missing or misfit ``attention`` projection before integrating,
+    naming the config key and the settings that read it."""
+    keys = dyn.projection_keys()
+    if keys and dyn.attention is None:
+        flags = {"adjacency_mode": "--adjacency-mode", "kernel.kind": "--kernel"}
+        asks = " and ".join(f"{key} 'attention' ({flags[key]})" for key in keys)
+        raise ValueError('attention: missing; set it to a projection {"theta": [[...]]} '
+                         f"with one column per feature, for {asks}")
+    if keys and dyn.attention.theta.shape[1] != d:
+        raise ValueError(f"attention.theta has {dyn.attention.theta.shape[1]} columns, "
+                         f"the features {d}")
+
+
 def _run_simulation(args):
     (dyn, solver), config = _resolve(args, DynamicsConfig, SolverConfig)
     ds = gio.read_dataset(args.dataset)
+    _check_projection(dyn, ds.features.shape[1])
     traj = integrate(lambda X, t: rhs(dyn, ds.graph, X, t), ds.features, solver)
     return ds, config, traj
 

@@ -80,6 +80,12 @@ class DynamicsConfig:
         if not (self.diffusion_on or self.aggregation_on):
             raise ValueError("at least one of diffusion/aggregation must be enabled")
 
+    def projection_keys(self) -> list[str]:
+        """The config keys set to 'attention' that make :func:`rhs_ops` read ``attention``."""
+        return [key for key, on in (
+            ("adjacency_mode", self.diffusion_on and self.adjacency_mode == "attention"),
+            ("kernel.kind", self.aggregation_on and self.kernel.kind == "attention")) if on]
+
     to_json = to_fields
 
     @classmethod

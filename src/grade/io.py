@@ -72,7 +72,7 @@ _AT = np.arange(20, dtype=np.int8)[:, None]  # the index of each plane of a slot
 _AROUND = np.array([("0." + "0" * (-1 - e) if -4 <= e < 0 else "").ljust(5, "\0")
                     + ("e%+03d" % e if e < -4 or e > 16 else "") for e in range(-6, 18)],
                    dtype="S9").view(np.uint8).reshape(-1, 9).T
-BLOCK_VALUES = 1 << 13  # values encoded at a time, so memory stays bounded for any table
+BLOCK_VALUES = 1 << 14  # values encoded at a time, so memory stays bounded for any table
 
 
 def _split(x: np.ndarray, scales) -> list:
@@ -87,7 +87,7 @@ def _split(x: np.ndarray, scales) -> list:
 def _digits(n: np.ndarray, places: int) -> np.ndarray:
     """The ``places`` (a multiple of 4) low digits of each integer of ``n``, as ASCII planes."""
     scales = map(n.dtype.type, 10 ** np.arange(places - 4, 0, -4, dtype=np.uint64))
-    quads = np.stack(_split(n, scales), axis=1).astype(np.int16)  # of four digits each
+    quads = np.stack([q.astype(np.int16) for q in _split(n, scales)], axis=1)  # 4 digits each
     pairs = np.stack(_split(quads, [100]), axis=2).astype(np.uint8)
     digits = np.stack(_split(pairs, [10]), axis=3)
     return digits.reshape(n.shape[0], places, n.shape[1]) + np.uint8(ord("0"))
@@ -98,6 +98,23 @@ def _halves(a: np.ndarray):
     c = a * 134217729.0  # 2^27 + 1
     high = c - (c - a)
     return high, a - high
+
+
+def _significands(x: np.ndarray):
+    """The 17-digit integer N, the decimal exponent and whether N is exact, for
+    each double of ``x`` (see ``_float_planes``). The Dekker product's
+    temporaries are freed on return, before the digit stage allocates its own."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore"):
+        e = np.floor(np.log10(a))
+    fast = (e >= -6) & (e <= 16)
+    k = np.where(fast, 16 - e, 0).astype(np.int8)
+    a, b = np.where(fast, a, 1.0), _POW10[k]
+    hi = a * b
+    (ah, al), (bh, bl) = _halves(a), _halves(b)
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    fast &= (hi < 1e17) & ((hi > 1e16) | (hi == 1e16) & (lo >= 0))
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), 16 - k, fast
 
 
 def _float_planes(x: np.ndarray, out: np.ndarray) -> None:
@@ -115,18 +132,7 @@ def _float_planes(x: np.ndarray, out: np.ndarray) -> None:
     A slot is the sign, the "0.000" before the digits of a number below 1,
     18 planes that hold the digits with the point among them, and the exponent.
     """
-    a = np.abs(x)
-    with np.errstate(divide="ignore"):
-        e = np.floor(np.log10(a))
-    fast = (e >= -6) & (e <= 16)
-    k = np.where(fast, 16 - e, 0).astype(np.int8)
-    a, b = np.where(fast, a, 1.0), _POW10[k]
-    hi = a * b
-    (ah, al), (bh, bl) = _halves(a), _halves(b)
-    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-    fast &= (hi < 1e17) & ((hi > 1e16) | (hi == 1e16) & (lo >= 0))
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    exp = 16 - k
+    n, exp, fast = _significands(x)
     # %g: fixed notation for exponents in [-4, 17), scientific otherwise
     point = (exp * ((exp >= -4) & (exp <= 16)))[:, None]  # the digit the point follows
     digits = np.zeros((x.shape[0], 19, x.shape[1]), np.uint8)  # a 0 on either side
@@ -159,22 +165,23 @@ def _int_planes(i: np.ndarray, out: np.ndarray) -> None:
 
 
 def _text(columns, sep: bytes, end: bytes) -> bytes:
-    """One block of rows (see ``_write_table``)."""
+    """One block of rows (see ``_write_table``), laid out in one buffer of planes."""
     columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
-    m, planes = len(columns[0]), []
-    for c in columns:
+    # each column's slot count and width: the characters of a value, then the separator
+    slots = [(1, c.itemsize + 1) if c.dtype.kind == "S" else
+             (c.shape[1], 29 if c.dtype.kind == "f" else 22) for c in columns]
+    m, at = len(columns[0]), 0
+    block = np.zeros((sum(k * w for k, w in slots) + len(end), m), np.uint8)
+    for c, (k, w) in zip(columns, slots):
+        out, at = block[at:at + k * w].reshape(k, w, m), at + k * w
         if c.dtype.kind == "S":  # one column of text, as it is
-            slots = np.empty((1, c.itemsize + 1, m), np.uint8)
-            slots[0, :-1] = c.view(np.uint8).T
+            out[0, :-1] = c.view(np.uint8).T
+        elif c.dtype.kind == "f":
+            _float_planes(np.ascontiguousarray(c.T, dtype=np.float64), out)
         else:
-            put, width, dtype = ((_float_planes, 28, np.float64) if c.dtype.kind == "f"
-                                 else (_int_planes, 21, np.int64))
-            slots = np.zeros((c.shape[1], width + 1, m), np.uint8)
-            put(c.T.astype(dtype, copy=False), slots)
-        slots[:, -1] = sep[0]
-        planes.append(slots.reshape(-1, m))
-    planes.append(np.broadcast_to(np.frombuffer(end, np.uint8)[:, None], (len(end), m)))
-    block = np.concatenate(planes)
+            _int_planes(np.ascontiguousarray(c.T, dtype=np.int64), out)
+        out[:, -1] = sep[0]
+    block[at:] = np.frombuffer(end, np.uint8)[:, None]
     keep = block.any(axis=1)  # planes no row uses are dropped before the transposed copy,
     keep[-1 - len(end)] = False  # and so is the separator after the last value
     return block[keep].T.tobytes().translate(None, b"\0")
@@ -470,11 +477,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Long format: one row per (time, node) with columns f0..f{d-1}."""
     count, n, d = traj.states.shape
     times = np.array(["%.17g" % t for t in traj.times.tolist()], dtype=bytes)
+    nodes = np.array(["%d" % i for i in range(n)], dtype=bytes)  # the same text in every record
     states = traj.states.reshape(count * n, d)
 
     def block(lo, hi):
         record, node = np.divmod(np.arange(lo, hi), max(n, 1))
-        return [times[record], node, states[lo:hi]]
+        return [times[record], nodes[node], states[lo:hi]]
 
     _write_table(path, _csv_head("time", "node", *(f"f{j}" for j in range(d))), len(states), block)
 

@@ -85,8 +85,8 @@ class SolverConfig:
             if self.horizon / self.step > self.max_steps:
                 raise ValueError("horizon/step exceeds max_steps")
         else:
-            if not (self.rel_tol >= 1e-12 and self.abs_tol >= 1e-12):
-                raise ValueError("rel_tol and abs_tol must be >= 1e-12")
+            if not (1e-12 <= self.rel_tol < math.inf and 1e-12 <= self.abs_tol < math.inf):
+                raise ValueError("rel_tol and abs_tol must be >= 1e-12 and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.record_every < 1:

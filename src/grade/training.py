@@ -77,8 +77,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.solver.method not in FIXED_STEP_METHODS:
             raise ValueError("training requires a fixed-step solver (euler or rk4)")
-        if not (self.learning_rate >= 0 and self.weight_decay >= 0):
-            raise ValueError("learning_rate and weight_decay must be >= 0")
+        if not (0 <= self.learning_rate < np.inf and 0 <= self.weight_decay < np.inf):
+            raise ValueError("learning_rate and weight_decay must be >= 0 and finite")
         if self.epochs < 1 or self.hidden < 1:
             raise ValueError("epochs and hidden must be >= 1")
         if self.dynamics.attention is not None:
@@ -224,12 +224,19 @@ def loss_and_grad(p: ModelParams, ds: Dataset, cfg: TrainConfig, *, with_logits:
 
 
 def finite_difference_grad(p: ModelParams, ds: Dataset, cfg: TrainConfig, h: float) -> ModelParams:
-    """Central finite differences of the training loss per scalar parameter."""
+    """Central finite differences of the training loss per scalar parameter.
+
+    A forward that fails at a parameter moved by ±h raises a ValueError naming
+    h: the step is too large for the instance, which itself integrates."""
     if not h > 0:
         raise ValueError("h must be > 0")
 
     def loss_at(params: ModelParams) -> float:
-        logits, _ = forward(params, ds, cfg)
+        try:
+            logits, _ = forward(params, ds, cfg)
+        except NumericalError as exc:
+            raise ValueError(f"h={h:g}: a parameter moved by h makes the forward fail "
+                             f"({exc}); use a smaller h") from None
         return loss(logits, ds.labels, ds.train_mask)
 
     out = {}

@@ -657,6 +657,35 @@ def test_malformed_config_exits_one_naming_the_key(dataset_dir, tmp_path, capsys
     assert err.startswith("error: ") and named in err
 
 
+_MISSING = ('attention: missing; set it to a projection {"theta": [[...]]} with one column per '
+            "feature, for ")
+
+
+@pytest.mark.parametrize("command, config, flags, named", [
+    ("simulate", {"kernel": "attention"}, [], _MISSING + "kernel.kind 'attention' (--kernel)"),
+    ("energy", {}, ["--adjacency-mode", "attention"],
+     _MISSING + "adjacency_mode 'attention' (--adjacency-mode)"),
+    ("simulate", {"adjacency_mode": "attention"}, ["--kernel", "attention"],
+     _MISSING + "adjacency_mode 'attention' (--adjacency-mode) and kernel.kind 'attention' "
+     "(--kernel)"),
+    ("simulate", {"attention": {"theta": [[1, 0, 0, 0, 0]]}}, ["--kernel", "attention"],
+     "attention.theta has 5 columns, the features 2"),
+    ("energy", {"adjacency_mode": "attention", "attention": {"theta": [[1, 0, 0]]}}, [],
+     "attention.theta has 3 columns, the features 2"),
+])
+def test_attention_without_a_fitting_projection_exits_one_naming_the_key(
+        dataset_dir, tmp_path, capsys, command, config, flags, named):
+    assert _with_config(tmp_path, command, dataset_dir, config, *flags) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
+def test_a_projection_no_setting_reads_is_not_checked(dataset_dir, tmp_path):
+    # diffusion off: the attention adjacency is never formed, so theta's width does not matter
+    config = {"adjacency_mode": "attention", "attention": {"theta": [[1, 0, 0]]}}
+    assert _with_config(tmp_path, "simulate", dataset_dir, config, "--diffusion", "off",
+                        "--horizon", "1") == 0
+
+
 _KERNEL = KernelSpec("power", delta=0.5, bandwidth=2.0, normalize_rows=True,
                      singularity_floor=1e-4)
 _SOLVER = SolverConfig("rk4", step=0.25, horizon=2.0, rel_tol=1e-5, abs_tol=1e-8,
@@ -702,6 +731,16 @@ def test_every_config_field_travels_through_json(config):
     ("grad-check", ["--instances", "1", "--h", "inf"], "h must be > 0 and finite, got inf"),
     ("grad-check", ["--instances", "1", "--h", "1e300", "--seed", "1"],
      "h=1e+300: no random instance keeps its edge distances 10h clear"),
+    ("grad-check", ["--instances", "1", "--h", "1e300", "--seed", "0"],
+     "h=1e+300: a parameter moved by h makes the forward fail"),
+    ("train", ["--epochs", "2", "--lr", "inf"],
+     "learning_rate and weight_decay must be >= 0 and finite"),
+    ("train", ["--epochs", "2", "--weight-decay", "inf"],
+     "learning_rate and weight_decay must be >= 0 and finite"),
+    ("simulate", ["--method", "dopri5", "--rel-tol", "inf"],
+     "rel_tol and abs_tol must be >= 1e-12 and finite"),
+    ("simulate", ["--method", "dopri5", "--abs-tol", "inf"],
+     "rel_tol and abs_tol must be >= 1e-12 and finite"),
 ])
 def test_non_finite_flag_exits_one_naming_it(dataset_dir, tmp_path, capsys,
                                               command, flags, named):

@@ -309,6 +309,38 @@ def test_trajectory_writer_memory_is_bounded_within_a_large_record(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_dataset_writer_memory_is_bounded_at_twenty_thousand_nodes(tmp_path):
+    # the n=20000 bundle: 109950 edges and 20000 rows a table, more text than the bound
+    ds = csbm_generate(CsbmConfig(n=20000, p_intra=0.001, p_inter=0.0001), seed=5)
+    assert ds.graph.num_edges == 109950
+    tracemalloc.start()
+    try:
+        gio.write_dataset(ds, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(path.stat().st_size for path in tmp_path.iterdir()) > 2 * 2**20
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("block", [5, None])
+def test_table_encoder_reads_column_views_of_any_layout(tmp_path, monkeypatch, block):
+    # a column slice of a Fortran-ordered array and reversed views are neither
+    # C-contiguous nor of unit stride; each value keeps its %.17g or %d text
+    if block:
+        monkeypatch.setattr(gio, "BLOCK_VALUES", block)
+    rng = np.random.default_rng(18)
+    floats = np.asfortranarray(rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-8, 20, (40, 3)))
+    ints = np.asfortranarray(rng.integers(-10 ** 12, 10 ** 12, (40, 3)))
+    columns = [floats[:, 1:], ints[:, 1], floats[::-1, 0], ints[::-1, :2]]
+    rows = zip(floats[:, 1:].tolist(), ints[:, 1].tolist(), floats[::-1, 0].tolist(),
+               ints[::-1, :2].tolist())
+    want = "".join(",".join(["%.17g" % x for x in f] + ["%d" % i, "%.17g" % r]
+                            + ["%d" % j for j in js]) + "\r\n" for f, i, r, js in rows)
+    gio._write_table(tmp_path / "t.csv", "", 40, lambda lo, hi: [c[lo:hi] for c in columns])
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+
 def test_trajectory_without_features_is_written_as_time_and_node(tmp_path):
     # read_dataset refuses zero-width features, but a Trajectory may hold
     # them, and `energy --trajectory` reads such a file back

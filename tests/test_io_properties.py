@@ -145,9 +145,11 @@ def test_dataset_writer_bytes_match_csv_module(ds):
 
 
 @settings(max_examples=100, deadline=None)
-@given(trajectories(values=ANY_FLOAT), datasets(), st.sampled_from((1, 2, 5)))
+@given(trajectories(values=ANY_FLOAT), datasets(),
+       st.sampled_from((1, 2, 5, 11, gio.BLOCK_VALUES)))
 def test_writers_bytes_match_csv_module_across_blocks(traj, ds, block):
-    # a small block cuts every table into several, down to one row each
+    # a small block cuts every table into several, down to one row each; one of
+    # 11 values holds 2 or 3 rows, and so cuts a record of the trajectory
     with _scratch() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(gio, "BLOCK_VALUES", block)
         gio.write_trajectory_csv(traj, tmp / "new.csv")
