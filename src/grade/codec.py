@@ -40,11 +40,14 @@ def scalar(value, kind: type, where: str):
 
 
 def matrix(value, where: str) -> np.ndarray:
-    """A non-empty JSON list of equal-length lists of numbers, as a 2-d float array."""
+    """A non-empty JSON list of equal-length lists of finite numbers, as a 2-d float array."""
     if not (isinstance(value, list) and value and all(isinstance(row, list) for row in value)
             and len({len(row) for row in value}) == 1):
         raise ValueError(f"{where}: expected a matrix (a list of equal-length lists of numbers)")
-    return np.array([[scalar(x, float, where) for x in row] for row in value])
+    out = np.array([[scalar(x, float, where) for x in row] for row in value])
+    if not np.isfinite(out).all():
+        raise ValueError(f"{where}: expected finite numbers")
+    return out
 
 
 def from_fields(cls, obj, path: str = "", **decoders):

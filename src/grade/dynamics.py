@@ -143,29 +143,24 @@ def _aggregation_from_kernel(g: Graph, kvals: ad.Tensor, X: ad.Tensor) -> ad.Ten
     return ad.mul(X, out)
 
 
-def rhs_ops(
-    cfg: DynamicsConfig,
-    g: Graph,
-    X: ad.Tensor,
-    theta: ad.Tensor | None = None,
-) -> ad.Tensor:
-    """Tensor-level RHS; the attention projection is ``cfg.attention`` or the tensor ``theta``.
+def rhs_ops(cfg: DynamicsConfig, g: Graph, X: ad.Tensor) -> ad.Tensor:
+    """Tensor-level RHS; the attention projection is ``cfg.attention``.
 
-    Used directly by the training unroll so gradients flow through the
-    attention softmax and the kernel. Plain evaluation goes through
-    :func:`rhs`.
+    Used directly by the training unroll, with its theta leaf as that
+    projection, so gradients flow through the attention softmax and the
+    kernel. Plain evaluation goes through :func:`rhs`.
     """
     total = None
     if cfg.diffusion_on:
         sX = cfg.activation.apply(X)
         if cfg.adjacency_mode == "attention":
-            alpha = attention_arc_values(X, cfg.attention, g, theta)
+            alpha = attention_arc_values(X, cfg.attention, g)
         else:
             alpha = g.static_arc_coeff
         total = ad.sub(ad.arc_spmm(alpha, sX, g), sX)
 
     if cfg.aggregation_on:
-        kvals = kernel_weights(cfg.kernel, X, g, cfg.attention, theta)
+        kvals = kernel_weights(cfg.kernel, X, g, cfg.attention)
         aggregation = _aggregation_from_kernel(g, kvals, X)
         total = aggregation if total is None else ad.add(total, aggregation)
     return total

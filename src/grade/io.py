@@ -218,23 +218,17 @@ def _load_table(path, lead: list[tuple[str, str]], values: str) -> np.ndarray:
     """
     with _text_faults(path), open(path) as fh:
         fh.readline()
-        start = fh.tell()
-        line = fh.readline()
-        while line and not line.strip():
-            line = fh.readline()
+        blocks, seen, line = _numbered_blocks(fh, 2), [], ""
+        for linenos, lines in blocks:  # the width comes from the first line that is not blank
+            seen.append((linenos, lines))
+            line = next(filter(str.strip, lines), "")
+            if line:
+                break
         width = line.count(",") + 1 - len(lead) if line else 0
         dtype = np.dtype(lead + [("values", values, (width,))])
         if not line:
             return np.zeros(0, dtype)
-        fh.seek(start)
-        return _loadtxt(path, fh, _csv_rows(path), dtype, delimiter=",")
-
-
-def _csv_rows(path):
-    """(line number, text) of each line under the header that numpy reads as a row."""
-    with open(path) as fh:
-        yield from ((lineno, line) for lineno, line in enumerate(fh, start=1)
-                    if lineno > 1 and line != "\n")
+        return _loadtxt(path, chain(seen, blocks), dtype, delimiter=",")
 
 
 @contextmanager
@@ -258,32 +252,37 @@ def _text_faults(path):
 _AT_ROW = re.compile(r" at row \d+(?=, column)| at row \d+;.*")  # numpy's row, not the file's line
 
 
-def _loadtxt(path, lines, numbered, dtype, **kwargs) -> np.ndarray:
-    """``np.loadtxt`` of ``lines`` with no comment syntax.
+def _loadtxt(path, blocks, dtype, **kwargs) -> np.ndarray:
+    """The rows of every block of ``blocks``, (line numbers, lines) pairs, as one
+    array: one ``np.loadtxt`` call per block, with no comment syntax.
 
     A malformed field, such as a non-integral number in an integer field,
-    raises a ValueError naming ``path`` and the line: the first line of
-    ``numbered`` (the same lines, as (line number, text) pairs, iterated only
-    on a fault) that fails to parse alone. Every dtype here fixes the column
-    count, so a line parses alone as it does in the file.
+    raises a ValueError naming ``path`` and the line: the first block that
+    fails is parsed again one line at a time, and its first line that fails
+    alone is named. Every dtype here fixes the column count, so a line
+    parses alone as it does in its block.
     """
     def parse(rows):
-        return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1, **kwargs)
+        with warnings.catch_warnings():
+            # numpy releases that still accept "1.5" in an integer field truncate it with this warning
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1, **kwargs)
 
-    with warnings.catch_warnings():
-        # numpy releases that still accept "1.5" in an integer field truncate it with this warning
-        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+    parts = [np.zeros(0, dtype)]
+    for linenos, lines in blocks:
         try:
-            return parse(lines)
+            parts.append(parse(lines))
+            continue
         except (ValueError, DeprecationWarning) as exc:
             fault = exc
-        for lineno, line in numbered:
+        for lineno, line in zip(linenos, lines):
             try:
                 parse([line])
             except (ValueError, DeprecationWarning) as exc:
                 raise ValueError(f"{path}:{lineno}: {_AT_ROW.sub('', str(exc))}") from None
-    raise ValueError(f"{path}: {fault}") from None
+        raise ValueError(f"{path}: {fault}") from None
+    return np.concatenate(parts)
 
 
 def _node_order(node: np.ndarray, record: np.ndarray, n: int, where) -> np.ndarray:
@@ -326,7 +325,7 @@ def write_edge_list(g: Graph, path) -> None:
 
 
 _EDGE = np.dtype([("uv", "i8", (2,)), ("w", "f8")])
-TEXT_BLOCK = 1 << 16  # characters of an edge list classified at a time
+TEXT_BLOCK = 1 << 16  # characters of a text file read and parsed at a time
 # the characters str.split() splits on, each below 0x3001; np.loadtxt splits fields on them too
 _SPACE = np.zeros(0x3002, dtype=bool)
 _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B),
@@ -345,6 +344,14 @@ def _text_blocks(fh):
         parts.append(chunk[cut:])
     if any(parts):
         yield "".join(parts) + "\n"
+
+
+def _numbered_blocks(fh, lineno: int):
+    """(line numbers, lines) of each of ``_text_blocks(fh)``; its first line is line ``lineno``."""
+    for block in _text_blocks(fh):
+        lines = block.split("\n")[:-1]
+        yield range(lineno, lineno + len(lines)), lines
+        lineno += len(lines)
 
 
 def _line_tokens(block: str):
@@ -367,8 +374,9 @@ def read_edge_list(path, n: int | None = None) -> Graph:
     and lines starting with `#` are skipped, and `# nodes: N` sets the node
     count. The file is opened once and read TEXT_BLOCK characters at a time:
     array operations sort each block's lines into blank, comment and edge
-    lines, and one np.loadtxt call parses every edge line. Only a field that
-    does not parse sends the reader back to the start, to name its line.
+    lines, and one np.loadtxt call parses the block's edge lines. Only a
+    block with a field that does not parse is parsed again, a line at a
+    time, to name its line.
     """
     header_n, fault = None, None
 
@@ -400,15 +408,8 @@ def read_edge_list(path, n: int | None = None) -> Graph:
                 return
             lineno += len(lines)
 
-    def numbered(fh):
-        """On a fault only: (line number, text) of each edge line, read again from the start."""
-        fh.seek(0)
-        for block in edge_lines(fh):
-            yield from zip(*block)
-
     with _text_faults(path), open(path) as fh:
-        edges = _loadtxt(path, chain.from_iterable(texts for _, texts in edge_lines(fh)),
-                         numbered(fh), _EDGE)
+        edges = _loadtxt(path, edge_lines(fh), _EDGE)
     # a fault in a line before the one that stopped the reading is reported first
     if fault:
         raise ValueError(fault)
@@ -416,6 +417,10 @@ def read_edge_list(path, n: int | None = None) -> Graph:
         n = header_n if header_n is not None else int(edges["uv"].max(initial=-1)) + 1
     edge_u, edge_v, weight = _checked_edges(n, edges["uv"], edges["w"])
     del edges  # so that the graph is built without them
+    try:  # the request for a per-node array that cannot be had fails at once
+        np.empty(n + 1, dtype=np.int64)
+    except (MemoryError, ValueError):
+        raise ValueError(f"{path}: {n} nodes do not fit in memory") from None
     return _build_graph(n, edge_u, edge_v, weight)
 
 

@@ -30,19 +30,24 @@ KERNEL_KINDS = ("log", "power", "gaussian", "attention")
 
 @dataclass(frozen=True)
 class ProjectionParams:
-    """Learnable projection for attention scores: (theta x_u)^T (theta x_v) / scale."""
+    """Projection for attention scores: (theta x_u)^T (theta x_v) / scale.
 
-    theta: np.ndarray
+    ``theta`` is a matrix, or the training tape's parameter tensor, through
+    which the unroll's gradients reach it.
+    """
+
+    theta: np.ndarray | ad.Tensor
     scale: float = 0.0  # 0 means "use the projected dimension"
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64)
-        if theta.ndim != 2:
+        if not isinstance(self.theta, ad.Tensor):
+            object.__setattr__(self, "theta", np.asarray(self.theta, dtype=np.float64))
+        shape = ad.constant(self.theta).data.shape
+        if len(shape) != 2:
             raise ValueError("theta must be a 2-d matrix")
-        object.__setattr__(self, "theta", theta)
-        scale = float(self.scale) if self.scale else float(theta.shape[0])
-        if not scale > 0:
-            raise ValueError("scale must be > 0")
+        scale = float(self.scale) if self.scale else float(shape[0])
+        if not 0 < scale < np.inf:
+            raise ValueError("scale must be > 0 and finite")
         object.__setattr__(self, "scale", scale)
 
     to_json = to_fields
@@ -70,12 +75,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not self.delta >= 0:
-            raise ValueError("delta must be >= 0")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be > 0")
-        if not self.singularity_floor > 0:
-            raise ValueError("singularity_floor must be > 0")
+        if not 0 <= self.delta < np.inf:
+            raise ValueError("delta must be >= 0 and finite")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError("bandwidth must be > 0 and finite")
+        if not 0 < self.singularity_floor < np.inf:
+            raise ValueError("singularity_floor must be > 0 and finite")
 
     to_json = to_fields
     from_json = classmethod(from_fields)
@@ -143,21 +148,12 @@ def _node_rows(X, g: Graph) -> ad.Tensor:
     return X
 
 
-def attention_arc_values(
-    X, params: ProjectionParams | None, g: Graph, theta: ad.Tensor | None = None
-) -> ad.Tensor:
+def attention_arc_values(X, params: ProjectionParams | None, g: Graph) -> ad.Tensor:
     """Per-arc attention weights, as a column: softmax over each source
-    neighborhood of the scores (theta x_u)^T (theta x_v) / scale.
-
-    The projection is ``params``, or the tensor ``theta`` with the projected
-    dimension as its scale (the training unroll passes its parameter tensor
-    so gradients reach it); exactly one of the two must be given.
-    """
-    if (params is None) == (theta is None):
-        raise ValueError("attention needs projection parameters" if theta is None else
-                         "attention takes projection parameters or a theta tensor, not both")
-    scale = float(theta.data.shape[0]) if params is None else params.scale
-    theta = ad.constant(params.theta) if theta is None else theta
+    neighborhood of the scores (theta x_u)^T (theta x_v) / scale."""
+    if params is None:
+        raise ValueError("attention needs projection parameters")
+    theta = ad.constant(params.theta)
     X = _node_rows(X, g)
     if theta.data.shape[1] != X.data.shape[1]:
         raise ValueError("projection theta columns must match feature dimension")
@@ -166,7 +162,7 @@ def attention_arc_values(
         ad.mul(ad.gather_rows(proj, g.arc_src), ad.gather_rows(proj, g.arc_dst)),
         axis=1,
     )
-    return _neighbourhood_softmax(ad.mul(s, 1.0 / scale), g, "attention")
+    return _neighbourhood_softmax(ad.mul(s, 1.0 / params.scale), g, "attention")
 
 
 def _arc_sq_distances(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
@@ -205,22 +201,17 @@ def normalized_kernel_arc_values(spec: KernelSpec, X, g: Graph) -> ad.Tensor:
     return ad.mul(vals, ad.power(ad.gather_rows(sums, g.arc_src), -1.0))
 
 
-def kernel_weights(
-    spec: KernelSpec,
-    X,
-    g: Graph,
-    attention: ProjectionParams | None = None,
-    theta: ad.Tensor | None = None,
-) -> ad.Tensor:
+def kernel_weights(spec: KernelSpec, X, g: Graph,
+                   attention: ProjectionParams | None = None) -> ad.Tensor:
     """The per-arc kernel column of the dynamics, and of :func:`kernel_matrix`.
 
     Attention is :func:`attention_arc_values` with the projection
-    ``attention`` or the tensor ``theta``; a radial kernel with
-    ``normalize_rows`` is the per-neighborhood softmax of
-    :func:`normalized_kernel_arc_values`; otherwise it is the raw radial kernel.
+    ``attention``; a radial kernel with ``normalize_rows`` is the
+    per-neighborhood softmax of :func:`normalized_kernel_arc_values`;
+    otherwise it is the raw radial kernel.
     """
     if spec.kind == "attention":
-        return attention_arc_values(X, attention, g, theta)
+        return attention_arc_values(X, attention, g)
     if spec.normalize_rows:
         return normalized_kernel_arc_values(spec, X, g)
     return kernel_arc_values(spec, X, g)

@@ -197,12 +197,14 @@ def _initial_step(f, X0, f0, cfg: SolverConfig) -> float:
 
 def _dopri5_steps(f, X, cfg: SolverConfig, ratios: list):
     """:func:`fixed_steps` with adaptive Dormand-Prince steps. Checks every attempt for a
-    non-finite state and appends each accepted step's error ratio to ``ratios``."""
+    non-finite state and appends each accepted step's error ratio to ``ratios``.
+    As in :func:`fixed_steps`, overflow surfaces as that non-finite state."""
     if cfg.horizon == 0:
         return
     t = 0.0
-    k = [f(X, t)] + [None] * 6
-    h = _initial_step(f, X, k[0], cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = [f(X, t)] + [None] * 6
+        h = _initial_step(f, X, k[0], cfg)
     attempts = 0
     err_prev = 1.0
     while t < cfg.horizon:
@@ -211,18 +213,19 @@ def _dopri5_steps(f, X, cfg: SolverConfig, ratios: list):
         if attempts > cfg.max_steps:
             raise NumericalError(f"max_steps={cfg.max_steps} exceeded at t={t:.6g}")
 
-        for i in range(1, 7):
-            acc = _DP_A[i][0] * k[0]
-            for j in range(1, i):
-                if _DP_A[i][j] != 0.0:
-                    acc = acc + _DP_A[i][j] * k[j]
-            X_new = X + h * acc
-            k[i] = f(X_new, t + _DP_C[i] * h)
-        # _DP_A[6] is the fifth-order weight row, so the last stage point is
-        # the step's solution and k[6] the derivative there: first same as last
-        err = h * sum(e * kj for e, kj in zip(_DP_E, k) if e != 0.0)
-        _check_finite(X_new, t + h)
-        ratio = _error_ratio(err, X, X_new, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, 7):
+                acc = _DP_A[i][0] * k[0]
+                for j in range(1, i):
+                    if _DP_A[i][j] != 0.0:
+                        acc = acc + _DP_A[i][j] * k[j]
+                X_new = X + h * acc
+                k[i] = f(X_new, t + _DP_C[i] * h)
+            # _DP_A[6] is the fifth-order weight row, so the last stage point is
+            # the step's solution and k[6] the derivative there: first same as last
+            err = h * sum(e * kj for e, kj in zip(_DP_E, k) if e != 0.0)
+            _check_finite(X_new, t + h)
+            ratio = _error_ratio(err, X, X_new, cfg)
 
         if ratio <= 1.0:
             t = cfg.horizon if cfg.horizon - (t + h) <= 1e-14 * cfg.horizon else t + h

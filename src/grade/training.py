@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .codec import from_fields, to_fields
 from .dynamics import DynamicsConfig, rhs_ops
 from .graph import Dataset, from_edge_list
-from .kernels import KernelSpec
+from .kernels import KernelSpec, ProjectionParams
 from .solvers import (FIXED_STEP_METHODS, NumericalError, SolverConfig, fixed_steps,
                       record_trajectory)
 
@@ -44,7 +44,7 @@ class ModelParams:
     enc_bias: np.ndarray  # (h,)
     dec_weight: np.ndarray  # (h, C)
     dec_bias: np.ndarray  # (C,)
-    theta: np.ndarray | None = None  # (k, h) projection matrix, when attention is used
+    theta: np.ndarray | None = None  # (k, h) projection, when DynamicsConfig.projection_keys()
 
     def fields(self) -> list[tuple[str, np.ndarray]]:
         """(name, array) of every parameter present, in declaration order."""
@@ -100,12 +100,6 @@ class EpochMetrics:
     test_acc: float
 
 
-def _needs_attention(cfg: DynamicsConfig) -> bool:
-    return cfg.adjacency_mode == "attention" or (
-        cfg.aggregation_on and cfg.kernel.kind == "attention"
-    )
-
-
 def init_params(ds: Dataset, cfg: TrainConfig) -> ModelParams:
     """Seeded Gaussian initialization.
 
@@ -119,7 +113,7 @@ def init_params(ds: Dataset, cfg: TrainConfig) -> ModelParams:
     h = cfg.hidden
     classes = ds.num_classes
     theta = None
-    if _needs_attention(cfg.dynamics):
+    if cfg.dynamics.projection_keys():
         theta = rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, h))
     return ModelParams(
         enc_weight=rng.normal(0.0, 0.1 / np.sqrt(d_in), size=(d_in, h)),
@@ -135,17 +129,19 @@ def _unroll(ds: Dataset, cfg: TrainConfig, leaves: dict[str, ad.Tensor]):
 
     Returns (logits tensor, recorded step states, step times). ``leaves``
     carries the parameter tensors so callers control requires_grad; the
-    ``theta`` leaf, when present, is the attention projection matrix.
+    ``theta`` leaf, when present, is the dynamics' attention projection.
     """
     g = ds.graph
-    theta_t = leaves.get("theta")
+    dynamics = cfg.dynamics
+    if "theta" in leaves:
+        dynamics = replace(dynamics, attention=ProjectionParams(leaves["theta"]))
 
     X = ad.add(ad.matmul(ad.constant(ds.features), leaves["enc_weight"]), leaves["enc_bias"])
     step_states = [X]
     step_times = [0.0]
 
     def f(state, t):
-        return rhs_ops(cfg.dynamics, g, state, theta=theta_t)
+        return rhs_ops(dynamics, g, state)
 
     for i, (t, X) in enumerate(fixed_steps(f, X, cfg.solver), start=1):
         if not np.all(np.isfinite(X.data)):
@@ -308,7 +304,7 @@ def _random_instance(seed: int, h: float):
             dec_weight=rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, 2)),
             dec_bias=rng.normal(0.0, 0.1, size=2),
             theta=rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, hidden))
-            if _needs_attention(dyn) else None,
+            if dyn.projection_keys() else None,
         )
 
         try:
@@ -326,7 +322,7 @@ def _random_instance(seed: int, h: float):
 
 def _clamp_margin(states, g, kernel) -> float:
     """Smallest gap between any edge feature distance and the clamp floor."""
-    if kernel.kind in ("gaussian", "attention"):
+    if kernel.kind not in ("log", "power"):  # the kernels with a clamp
         return float("inf")
     margin = float("inf")
     for state in states:

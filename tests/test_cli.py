@@ -281,6 +281,21 @@ def test_train_outputs(dataset_dir, tmp_path):
     assert manifest["config"]["epochs"] == 5
 
 
+@pytest.mark.parametrize("dynamics, has_theta", [
+    ({"adjacency_mode": "attention", "diffusion_on": False}, False),  # no term reads it
+    ({"adjacency_mode": "attention"}, True),
+    ({"kernel": {"kind": "attention"}}, True),
+])
+def test_train_draws_theta_only_when_the_dynamics_read_it(dataset_dir, tmp_path, dynamics,
+                                                          has_theta):
+    (tmp_path / "cfg.json").write_text(json.dumps({"dynamics": dynamics}))
+    out = tmp_path / "model"
+    assert dispatch(["train", "--dataset", str(dataset_dir), "--config", str(tmp_path / "cfg.json"),
+                     "--epochs", "2", "--out", str(out)]) == 0
+    model = json.loads((out / "checkpoint.json").read_text())["model"]
+    assert ("theta" in model) == has_theta
+
+
 def test_train_reports_the_test_acc_of_the_checkpoint(tmp_path, capsys):
     from grade import TrainConfig, forward
     from grade.training import accuracy
@@ -337,6 +352,28 @@ def test_train_unroll_blowup_exits_two_naming_the_step(tmp_path, capsys):
                      "--horizon", "4", "--epochs", "2", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "state blew up at unroll step 2 (t=1)" in capsys.readouterr().err
+
+
+def test_dopri5_blowup_exits_two_with_only_the_failure_line(tmp_path, capsys):
+    # the stage evaluations overflow before the non-finite state is caught; numpy's
+    # warnings about it stay silent, as they do for the fixed-step methods
+    assert dispatch(["generate", "--n", "100", "--seed", "0", "--out", str(tmp_path / "ds")]) == 0
+    (tmp_path / "cfg.json").write_text('{"kernel": {"kind": "gaussian", "normalize_rows": true}}')
+    capsys.readouterr()
+    code = dispatch(["simulate", "--dataset", str(tmp_path / "ds"), "--method", "dopri5",
+                     "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == "numerical failure: state became non-finite at t=0.25339\n"
+
+
+@pytest.mark.parametrize("nodes", ["100000000000000000", "4611686018427387904"])
+def test_a_node_count_too_large_to_allocate_exits_one_naming_the_file(dataset_dir, tmp_path,
+                                                                      capsys, nodes):
+    graph = dataset_dir / "graph.txt"
+    _, edges = graph.read_text().split("\n", 1)
+    graph.write_text(f"# nodes: {nodes}\n{edges}")
+    assert dispatch(["energy", "--dataset", str(dataset_dir), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {graph}: {nodes} nodes do not fit in memory\n"
 
 
 def test_simulate_warns_when_euler_steps_over_the_dynamics(dataset_dir, tmp_path, capsys):
@@ -747,6 +784,25 @@ def test_non_finite_flag_exits_one_naming_it(dataset_dir, tmp_path, capsys,
     where = {"generate": ["--out", str(tmp_path / "out")], "grad-check": []}.get(
         command, ["--dataset", str(dataset_dir), "--out", str(tmp_path / "out")])
     assert dispatch([command, *flags, *where]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("config, named", [
+    ('{"kernel": {"kind": "power", "delta": 1e400}}', "delta must be >= 0 and finite"),
+    ('{"kernel": {"kind": "gaussian", "bandwidth": 1e400}}', "bandwidth must be > 0 and finite"),
+    ('{"kernel": {"kind": "log", "singularity_floor": 1e400}}',
+     "singularity_floor must be > 0 and finite"),
+    ('{"attention": {"theta": [[1, 1e400]]}}', "attention.theta: expected finite numbers"),
+    ('{"attention": {"theta": [[1, 0]], "scale": 1e400}}', "scale must be > 0 and finite"),
+])
+def test_non_finite_config_value_exits_one_naming_it(dataset_dir, tmp_path, capsys, config,
+                                                     named):
+    # JSON reads 1e400 as inf
+    (tmp_path / "cfg.json").write_text(config)
+    code = dispatch(["simulate", "--dataset", str(dataset_dir), "--config",
+                     str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+    assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
 

@@ -2,7 +2,10 @@
 scipy (``generate`` and ``energy --trajectory`` build none), neither they nor
 ``import grade.cli`` load a process-pool module (scipy itself loads
 ``concurrent.futures``), only one place in the source builds that matrix, and
-every per-node sum over the arcs goes through it."""
+every per-node sum over the arcs goes through it. Each decision below has one
+home: ``io._loadtxt`` parses text tables and finds their faults without
+seeking back, and only ``dynamics`` and ``kernels`` ask whether a setting is
+'attention'."""
 import ast
 import os
 import subprocess
@@ -42,6 +45,21 @@ assert "scipy.sparse" in scipy_loaded(), scipy_loaded()
 """
 
 
+def _called(node: ast.Call) -> str:
+    """The name a call calls: ``f`` of ``f(...)`` and of ``x.f(...)``."""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def _calls(tree, name: str) -> list[ast.Call]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and _called(node) == name]
+
+
+def _sources():
+    for path in sorted((SRC / "grade").glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
 def test_generate_imports_no_scipy_and_simulate_loads_it(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _CHILD, str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
@@ -62,9 +80,7 @@ def test_only_graph_imports_scipy_and_one_call_builds_a_csr_array():
             if any(module.split(".")[0] == "scipy" for module in modules):
                 importers.add(path.name)
             if isinstance(node, ast.Call):
-                func = node.func
-                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                builds += called == "csr_array"
+                builds += _called(node) == "csr_array"
     assert importers == {"graph.py"}
     assert builds == 1
 
@@ -77,11 +93,42 @@ def test_no_call_sums_over_arc_sources_outside_the_arc_csr():
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
             arguments = [*node.args, *(keyword.value for keyword in node.keywords)]
-            if called in scatters and any(
+            if _called(node) in scatters and any(
                     getattr(sub, "attr", getattr(sub, "id", None)) == "arc_src"
                     for argument in arguments for sub in ast.walk(argument)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_io_loadtxt_parses_text_and_io_never_seeks():
+    outside, inside = [], 0
+    for name, tree in _sources():
+        home = {id(call) for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and (name, fn.name) == ("io.py", "_loadtxt")
+                for call in _calls(fn, "loadtxt")}
+        inside += len(home)
+        outside += [f"{name}:{call.lineno}" for call in _calls(tree, "loadtxt")
+                    if id(call) not in home]
+        if name == "io.py":
+            outside += [f"io.py:{call.lineno} seeks" for call in _calls(tree, "seek")]
+    assert inside == 1 and outside == []
+
+
+def test_only_dynamics_and_kernels_compare_a_setting_with_attention():
+    # DynamicsConfig.projection_keys() is the one rule for which runs read a projection
+    def attention(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(item, ast.Constant) and item.value == "attention" for item in items)
+
+    found = []
+    for name, tree in _sources():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            setting = any(isinstance(operand, ast.Attribute)
+                          and operand.attr in ("adjacency_mode", "kind") for operand in operands)
+            if setting and any(map(attention, operands)):
+                found.append(f"{name}:{node.lineno}")
+    assert found and {place.split(":")[0] for place in found} <= {"dynamics.py", "kernels.py"}, found

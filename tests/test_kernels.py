@@ -256,6 +256,12 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
+def _one_projection(spec, x, g, attention, theta):
+    """``kernel_weights`` on the oracle's (attention, theta) pair: the tensor
+    ``theta``, when given, is the projection, at the default scale."""
+    return kernel_weights(spec, x, g, attention if theta is None else ProjectionParams(theta))
+
+
 def _weights_and_grads(weights, spec, X, g, attention, theta):
     """Kernel column and the tape gradients of a fixed linear functional of it
     with respect to X and the training tensor (fresh leaves per call)."""
@@ -290,21 +296,22 @@ def test_kernel_weights_are_the_pre_change_kernels_bit_for_bit(
         X[1] = X[0]  # a coincident pair puts the singular kernels on their clamp
     shared = ProjectionParams(rng.normal(size=(k, d)), scale=float(rng.choice([0.0, 0.7])))
     spec = KernelSpec(kind, delta=0.4, bandwidth=0.8, normalize_rows=normalize)
-    attention = None if params_from == "none" else shared
     theta = rng.normal(size=(k, d)) if tensor else None
+    # one projection argument: with a tensor drawn, the tensor is the projection
+    attention = None if params_from == "none" or tensor else shared
 
     try:
         expected = _weights_and_grads(ref_kernel_weights, spec, X, g, attention, theta)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            _weights_and_grads(kernel_weights, spec, X, g, attention, theta)
+            _weights_and_grads(_one_projection, spec, X, g, attention, theta)
         softmax = kind == "attention" or (normalize and kind != "log")
         if isolated and softmax and "projection parameters" not in str(exc):
             assert f"node {base.n} has no neighbors" in str(got.value)
         else:
             assert str(got.value) == str(exc)
         return
-    got = _weights_and_grads(kernel_weights, spec, X, g, attention, theta)
+    got = _weights_and_grads(_one_projection, spec, X, g, attention, theta)
     for a, b in zip(got, expected):
         if b is None:
             assert a is None

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grade import (
     ActivationSpec,
@@ -282,6 +284,67 @@ def test_gradient_check_harness():
     worst, errors = gradient_check(seed=0, instances=4, h=1e-5)
     assert len(errors) == 4
     assert worst <= 1e-5
+
+
+def _assert_bound_and_clamp_margin(ds, params, cfg, h):
+    """The draw's forward stays within |X| <= 20, and for a clamped kernel every
+    edge distance of every state, computed densely, stays more than 10h from
+    the clamp floor."""
+    _, traj = forward(params, ds, cfg)
+    assert np.max(np.abs(traj.states)) <= 20.0
+    kernel = cfg.dynamics.kernel
+    if kernel.kind in ("log", "power"):
+        g = ds.graph
+        adjacent = np.zeros((g.n, g.n), dtype=bool)
+        adjacent[g.edge_u, g.edge_v] = True
+        for X in traj.states:
+            r = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+            assert np.min(np.abs(r[adjacent] - kernel.singularity_floor)) > 10.0 * h
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), h=st.sampled_from((1e-5, 0.03)))
+@example(seed=13, h=0.03)  # a draw rejected for its clamp margin
+@example(seed=14, h=1e-5)  # two draws rejected for their state bound
+@example(seed=682, h=0.03)  # every draw rejected
+def test_random_instance_draws_keep_their_bound_and_clamp_margin(seed, h):
+    from grade.training import _random_instance
+
+    try:
+        ds, params, cfg = _random_instance(seed, h)
+    except ValueError as exc:  # all 50 draws rejected: the documented outcome of a large h
+        assert "no random instance keeps its edge distances 10h clear" in str(exc)
+        return
+    _assert_bound_and_clamp_margin(ds, params, cfg, h)
+
+
+@pytest.mark.parametrize("seed, h, forwards", [(13, 0.03, 2), (14, 1e-5, 3), (0, 0.03, 1)])
+def test_random_instance_draws_again_after_a_rejection(monkeypatch, seed, h, forwards):
+    from grade import training
+
+    calls = []
+    monkeypatch.setattr(training, "forward", lambda *args: calls.append(args) or forward(*args))
+    training._random_instance(seed, h)
+    assert len(calls) == forwards
+
+
+def test_random_instance_draws_again_after_a_forward_blows_up(monkeypatch):
+    # no draw of seeds 0..29999 blows up, so the first forward is made to fail
+    from grade import training
+    from grade.solvers import NumericalError
+
+    calls = []
+
+    def first_blows_up(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise NumericalError("state blew up at unroll step 1 (t=0.3)")
+        return forward(*args)
+
+    monkeypatch.setattr(training, "forward", first_blows_up)
+    ds, params, cfg = training._random_instance(0, 1e-5)
+    assert len(calls) == 2 and calls[1][1] is ds
+    _assert_bound_and_clamp_margin(ds, params, cfg, 1e-5)
 
 
 # -------------------------------------------------- degenerate diffusion
