@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +21,14 @@ from . import io as gio
 from .codec import key_path
 from .dynamics import ACTIVATION_KINDS, ADJACENCY_MODES, DynamicsConfig, rhs
 from .graph import CsbmConfig, csbm_generate
+from .kernels import KERNEL_KINDS
 from .solvers import FIXED_STEP_METHODS, METHODS, NumericalError, SolverConfig, integrate
 from .training import TrainConfig, gradient_check, train
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
 STEP_QUALITY_BOUND = 1.0  # an integrating command warns when max_error_ratio exceeds it
+GRAD_CHECK_TOLERANCE = 1e-5  # grad-check passes when the max relative error is at most this
 _ON_OFF = {"on": True, "off": False}
 
 
@@ -91,12 +92,13 @@ def _unread(resolved: dict, config: dict, path: str = ""):
 def _resolve(args, *classes) -> tuple[list, dict]:
     """The configs of ``classes``, read from one JSON object and built.
 
-    The object is the classes' defaults, then the config file, then the
-    flags, merged at every depth. Returns the configs and the JSON of what
-    was built, which must hold every key of the object.
+    The object is the classes' defaults, then the config file if the command
+    takes one, then the flags, merged at every depth. Returns the configs and
+    the JSON of what was built, which must hold every key of the object.
     """
     defaults = {key: value for cls in classes for key, value in cls().to_json().items()}
-    resolved = _merge(defaults, _load_config(args.config), _flags(args, defaults))
+    resolved = _merge(defaults, _load_config(getattr(args, "config", None)),
+                      _flags(args, defaults))
     built = [cls.from_json(resolved) for cls in classes]
     config = {key: value for cfg in built for key, value in cfg.to_json().items()}
     unknown = list(_unread(resolved, config))
@@ -123,7 +125,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> dict[str, str]:
         p.add_argument("--config", help="dynamics/solver config JSON"),
         p.add_argument("--activation", choices=ACTIVATION_KINDS),
         p.add_argument("--adjacency-mode", dest="adjacency_mode", choices=ADJACENCY_MODES),
-        p.add_argument("--kernel", dest="kind", help="kernel kind (log|power|gaussian|attention)"),
+        p.add_argument("--kernel", dest="kind", help=f"kernel kind ({'|'.join(KERNEL_KINDS)})"),
         p.add_argument("--diffusion", dest="diffusion_on", choices=("on", "off")),
         p.add_argument("--aggregation", dest="aggregation_on", choices=("on", "off")),
         p.add_argument("--method", choices=METHODS),
@@ -136,13 +138,13 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> dict[str, str]:
     return {a.dest: a.option_strings[0] for a in actions}
 
 
-def _check_projection(dyn: DynamicsConfig, d: int) -> None:
+def _check_projection(dyn: DynamicsConfig, d: int, sim_flags: dict[str, str]) -> None:
     """Reject a missing or misfit ``attention`` projection before integrating,
-    naming the config key and the settings that read it."""
+    naming the config key, the settings that read it and their ``sim_flags``."""
     keys = dyn.projection_keys()
     if keys and dyn.attention is None:
-        flags = {"adjacency_mode": "--adjacency-mode", "kernel.kind": "--kernel"}
-        asks = " and ".join(f"{key} 'attention' ({flags[key]})" for key in keys)
+        asks = " and ".join(f"{key} 'attention' ({sim_flags[key.rsplit('.', 1)[-1]]})"
+                            for key in keys)
         raise ValueError('attention: missing; set it to a projection {"theta": [[...]]} '
                          f"with one column per feature, for {asks}")
     if keys and dyn.attention.theta.shape[1] != d:
@@ -153,7 +155,7 @@ def _check_projection(dyn: DynamicsConfig, d: int) -> None:
 def _run_simulation(args):
     (dyn, solver), config = _resolve(args, DynamicsConfig, SolverConfig)
     ds = gio.read_dataset(args.dataset)
-    _check_projection(dyn, ds.features.shape[1])
+    _check_projection(dyn, ds.features.shape[1], args.sim_flags)
     traj = integrate(lambda X, t: rhs(dyn, ds.graph, X, t), ds.features, solver)
     return ds, config, traj
 
@@ -170,11 +172,11 @@ def _step_quality(traj) -> dict:
 
 def _cmd_generate(args) -> int:
     started = time.time()
-    cfg = CsbmConfig(**_merge(_flags(args, asdict(CsbmConfig()))))
+    (cfg,), config = _resolve(args, CsbmConfig)
     ds = csbm_generate(cfg, args.seed)
     gio.write_dataset(ds, args.out)
     gio.write_manifest(args.out, _manifest(
-        "generate", asdict(cfg), args.seed, [],
+        "generate", config, args.seed, [],
         ["graph.txt", "features.csv", "labels.csv", "masks.csv"], started,
     ))
     print(f"wrote dataset with {ds.graph.n} nodes, {ds.graph.num_edges} edges to {args.out}")
@@ -253,8 +255,8 @@ def _cmd_grad_check(args) -> int:
     worst, errors = gradient_check(args.seed, instances=args.instances, h=args.h)
     for i, err in enumerate(errors):
         print(f"instance {i}: max relative error {err:.3e}")
-    print(f"max relative error: {worst:.3e} (threshold 1e-05)")
-    if worst <= 1e-5:
+    print(f"max relative error: {worst:.3e} (threshold {GRAD_CHECK_TOLERANCE:g})")
+    if worst <= GRAD_CHECK_TOLERANCE:
         print("grad-check: PASS")
         return 0
     print("grad-check: FAIL")
@@ -300,9 +302,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="integrate the dynamics on a dataset")
     p.add_argument("--dataset", required=True)
-    _add_sim_flags(p)
+    sim_flags = _add_sim_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, sim_flags=sim_flags)
 
     p = sub.add_parser("energy", help="energy/spread/cluster diagnostics and verdict")
     p.add_argument("--dataset", required=True)
@@ -348,7 +350,7 @@ def dispatch(argv) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

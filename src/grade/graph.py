@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .codec import from_fields, to_fields
+
 if TYPE_CHECKING:  # scipy is imported only where a CSR matrix is built
     import scipy.sparse as sp
 
@@ -207,6 +209,9 @@ class CsbmConfig:
             raise ValueError("noise_std must be >= 0 and finite")
         if not np.isfinite(self.class_mean_separation):
             raise ValueError("class_mean_separation must be finite")
+
+    to_json = to_fields
+    from_json = classmethod(from_fields)
 
 
 _KEY_SIDE = math.isqrt(np.iinfo(np.int64).max)  # the largest n with every a·n + b in int64

@@ -12,7 +12,6 @@ import os
 import re
 import warnings
 from contextlib import contextmanager
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -211,24 +210,16 @@ def _columns(*columns):
 def _load_table(path, lead: list[tuple[str, str]], values: str) -> np.ndarray:
     """The rows under a CSV header as one structured array.
 
-    Its fields are the ``lead`` (name, dtype) columns, then ``values``: every
-    further column, of that dtype. A decimal literal parses to the same
-    number as ``int()`` or ``float()`` gives; a file without rows gives zero
-    rows.
+    Its fields are the ``lead`` (name, dtype) columns, then ``values``: one
+    column of that dtype for each further name in the header, so a row with
+    another column count is an error naming its line. A decimal literal
+    parses to the same number as ``int()`` or ``float()`` gives; a file
+    without rows gives zero rows.
     """
     with _text_faults(path), open(path) as fh:
-        fh.readline()
-        blocks, seen, line = _numbered_blocks(fh, 2), [], ""
-        for linenos, lines in blocks:  # the width comes from the first line that is not blank
-            seen.append((linenos, lines))
-            line = next(filter(str.strip, lines), "")
-            if line:
-                break
-        width = line.count(",") + 1 - len(lead) if line else 0
+        width = max(fh.readline().count(",") + 1 - len(lead), 0)
         dtype = np.dtype(lead + [("values", values, (width,))])
-        if not line:
-            return np.zeros(0, dtype)
-        return _loadtxt(path, chain(seen, blocks), dtype, delimiter=",")
+        return _loadtxt(path, _numbered_blocks(fh, 2), dtype, delimiter=",")
 
 
 @contextmanager

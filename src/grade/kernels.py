@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 KERNEL_KINDS = ("log", "power", "gaussian", "attention")
+CLAMPED_KINDS = ("log", "power")  # the kernels that clamp r below singularity_floor
 
 
 @dataclass(frozen=True)
@@ -117,15 +118,15 @@ def kernel_scalar(spec: KernelSpec, z) -> float:
 def _log_kernel(spec: KernelSpec, sq: ad.Tensor) -> ad.Tensor:
     """log kappa of a positive radial kernel on a column of squared distances r^2:
     -r^2 / 2b^2 (gaussian) or -(2 + delta) log r (power)."""
-    if spec.kind == "gaussian":
-        return ad.mul(sq, -1.0 / (2.0 * spec.bandwidth ** 2))
-    return ad.mul(ad.log(ad.clamped_sqrt(sq, spec.singularity_floor)), -(2.0 + spec.delta))
+    if spec.kind in CLAMPED_KINDS:
+        return ad.mul(ad.log(ad.clamped_sqrt(sq, spec.singularity_floor)), -(2.0 + spec.delta))
+    return ad.mul(sq, -1.0 / (2.0 * spec.bandwidth ** 2))
 
 
 def _kernel(spec: KernelSpec, sq: ad.Tensor) -> ad.Tensor:
     """kappa of a radial kernel on a column of squared distances r^2:
     exp of the gaussian score, log r, or r^(-2-delta), with r clamped below."""
-    if spec.kind == "gaussian":
+    if spec.kind not in CLAMPED_KINDS:
         return ad.exp(_log_kernel(spec, sq))
     r = ad.clamped_sqrt(sq, spec.singularity_floor)
     if spec.kind == "log":

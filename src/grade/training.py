@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .codec import from_fields, to_fields
 from .dynamics import DynamicsConfig, rhs_ops
 from .graph import Dataset, from_edge_list
-from .kernels import KernelSpec, ProjectionParams
+from .kernels import CLAMPED_KINDS, KernelSpec, ProjectionParams
 from .solvers import (FIXED_STEP_METHODS, NumericalError, SolverConfig, fixed_steps,
                       record_trajectory)
 
@@ -322,7 +322,7 @@ def _random_instance(seed: int, h: float):
 
 def _clamp_margin(states, g, kernel) -> float:
     """Smallest gap between any edge feature distance and the clamp floor."""
-    if kernel.kind not in ("log", "power"):  # the kernels with a clamp
+    if kernel.kind not in CLAMPED_KINDS:
         return float("inf")
     margin = float("inf")
     for state in states:
@@ -343,7 +343,7 @@ def max_relative_error(g1: ModelParams, g2: ModelParams, tiny: float = 1e-8) -> 
     return worst
 
 
-def gradient_check(seed: int, instances: int = 20, h: float = 1e-5):
+def gradient_check(seed: int, instances: int, h: float):
     """Compare reverse-sweep gradients to central differences.
 
     Returns (overall max relative error, per-instance errors).

@@ -6,6 +6,8 @@ import json
 import os
 import re
 import runpy
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from grade import (
     ActivationSpec,
+    CsbmConfig,
     Dataset,
     DynamicsConfig,
     KernelSpec,
@@ -23,6 +26,7 @@ from grade import (
     SolverConfig,
     TrainConfig,
     Trajectory,
+    __version__,
     from_edge_list,
 )
 from grade.cli import _merge, _resolve, _unread, build_parser, dispatch
@@ -376,6 +380,29 @@ def test_a_node_count_too_large_to_allocate_exits_one_naming_the_file(dataset_di
     assert capsys.readouterr().err == f"error: {graph}: {nodes} nodes do not fit in memory\n"
 
 
+_HUGE = "100000000000000000"  # 10^17: every array it sizes exceeds 2^47 bytes
+
+
+@pytest.mark.parametrize("command, label", [
+    (["generate", "--n", _HUGE], None),
+    (["generate", "--n", "100", "--feat-dim", _HUGE], None),
+    (["train", "--epochs", "1", "--hidden", _HUGE], None),
+    (["train", "--epochs", "1"], _HUGE),
+], ids=["nodes", "features", "hidden", "label"])
+def test_a_size_too_large_to_allocate_exits_one_with_one_error_line(dataset_dir, tmp_path,
+                                                                    capsys, command, label):
+    # no address space holds 2^47 bytes, so no overcommit setting lets the allocation through
+    if label is not None:
+        _rewrite_rows(dataset_dir / "labels.csv",
+                      lambda rows: rows[:3] + [[rows[3][0], label]] + rows[4:])
+    where = [] if command[0] == "generate" else ["--dataset", str(dataset_dir)]
+    capsys.readouterr()
+    assert dispatch([*command, *where, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_simulate_warns_when_euler_steps_over_the_dynamics(dataset_dir, tmp_path, capsys):
     # the README's default example: euler at step 1 steps over a finite-time blow-up
     assert dispatch(["simulate", "--dataset", str(dataset_dir), "--out", str(tmp_path / "a")]) == 0
@@ -502,6 +529,20 @@ def test_bundle_malformed_field_exits_one(dataset_dir, tmp_path, capsys, name, c
     err = capsys.readouterr().err
     # rows[3] is the fifth line of the file, after the header
     assert f"{name}:5: could not convert string '{text}'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["features.csv", "labels.csv", "trajectory.csv"])
+def test_rows_wider_than_the_header_exit_one_naming_the_line(dataset_dir, tmp_path, capsys,
+                                                             name):
+    # the header fixes the column count: an unnamed last column is not read as one more value
+    trajectory = tmp_path / "trajectory.csv"
+    gio.write_trajectory_csv(Trajectory(np.zeros(1), np.zeros((1, 100, 2)), 0), trajectory)
+    path = trajectory if name == "trajectory.csv" else dataset_dir / name
+    _rewrite_rows(path, lambda rows: [row + ["1"] for row in rows])
+    capsys.readouterr()
+    assert dispatch(["energy", "--dataset", str(dataset_dir), "--trajectory", str(trajectory),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: the dtype passed requires ")
 
 
 def test_trajectory_of_another_node_count_exits_one_naming_the_file(dataset_dir, tmp_path,
@@ -738,6 +779,8 @@ _PROJECTION = ProjectionParams(np.arange(6.0).reshape(2, 3), scale=2.5)
     _SOLVER,
     TrainConfig(DynamicsConfig(kernel=_KERNEL, aggregation_on=False), _SOLVER,
                 learning_rate=0.1, epochs=3, weight_decay=0.0, seed=5, hidden=4),
+    CsbmConfig(n=6, p_intra=0.5, p_inter=0.25, feat_dim=3, class_mean_separation=2.0,
+               noise_std=0.5),
 ], ids=lambda config: type(config).__name__)
 def test_every_config_field_travels_through_json(config):
     # every field set: a field that to_json drops could be neither read back nor recorded
@@ -957,3 +1000,15 @@ def test_each_knob_is_set_at_any_depth_flags_over_file(layout, data):
     got = build(resolved)
     assert got == want
     assert not list(_unread(resolved, got))
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["--version"], 0, "stdout", f"{__version__}\n"),
+    (["generate", "--n", "4"], 1, "stderr", "usage: grade generate "),
+])
+def test_the_cli_module_runs_as_the_grade_command(argv, code, stream, text):
+    proc = subprocess.run([sys.executable, "-m", "grade.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert getattr(proc, stream).startswith(text)

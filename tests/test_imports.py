@@ -2,15 +2,20 @@
 scipy (``generate`` and ``energy --trajectory`` build none), neither they nor
 ``import grade.cli`` load a process-pool module (scipy itself loads
 ``concurrent.futures``), only one place in the source builds that matrix, and
-every per-node sum over the arcs goes through it. Each decision below has one
+no call names ``arc_src`` in a scatter outside it. Each decision below has one
 home: ``io._loadtxt`` parses text tables and finds their faults without
-seeking back, and only ``dynamics`` and ``kernels`` ask whether a setting is
-'attention'."""
+seeking back, only ``dynamics`` and ``kernels`` ask whether a setting is
+'attention', every config is built by its ``from_json`` (no ``asdict``), and
+the clamped kernel kinds, the simulate flags and the grad-check tolerance are
+each spelled once."""
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from grade.kernels import KERNEL_KINDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -86,7 +91,8 @@ def test_only_graph_imports_scipy_and_one_call_builds_a_csr_array():
 
 
 def test_no_call_sums_over_arc_sources_outside_the_arc_csr():
-    # Graph.arc_sum (and ad.arc_spmm over it) is the one per-node sum over arcs
+    # sums keyed by arc_src go through Graph.arc_sum (and ad.arc_spmm); segment_softmax's
+    # reduceat and gather_rows' backward scatter are the per-node arc reductions outside it
     scatters = {"bincount", "segment_sum", "_scatter_rows"}
     found = []
     for path in sorted((SRC / "grade").glob("*.py")):
@@ -132,3 +138,21 @@ def test_only_dynamics_and_kernels_compare_a_setting_with_attention():
             if setting and any(map(attention, operands)):
                 found.append(f"{name}:{node.lineno}")
     assert found and {place.split(":")[0] for place in found} <= {"dynamics.py", "kernels.py"}, found
+
+
+def test_no_config_is_built_by_asdict_and_no_setting_is_spelled_twice():
+    # kernels.CLAMPED_KINDS, cli._add_sim_flags and cli.GRAD_CHECK_TOLERANCE are the homes
+    def spelled(value):
+        return isinstance(value, float) or isinstance(value, str) and (
+            value in KERNEL_KINDS or value.startswith("--") or re.search(r"\de[-+]?\d", value))
+
+    checked, found = set(), []
+    for name, tree in _sources():
+        found += [f"{name}:{call.lineno} asdict" for call in _calls(tree, "asdict")]
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name in (
+                    "_clamp_margin", "_check_projection", "_cmd_grad_check"):
+                checked.add(fn.name)
+                found += [f"{name}:{node.lineno} {node.value!r}" for node in ast.walk(fn)
+                          if isinstance(node, ast.Constant) and spelled(node.value)]
+    assert len(checked) == 3 and found == []
