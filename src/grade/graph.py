@@ -178,7 +178,8 @@ class Dataset:
             + self.test_mask.astype(int)
         )
         if overlap.max(initial=0) > 1:
-            raise ValueError("masks must be disjoint")
+            raise ValueError(f"masks must be disjoint: node {int(np.argmax(overlap > 1))} is in "
+                             "more than one")
 
     @property
     def num_classes(self) -> int:
@@ -395,7 +396,11 @@ def csbm_generate(cfg: CsbmConfig, seed: int) -> Dataset:
     graph = _build_graph(n, eu, ev, np.ones(eu.size))
 
     means = np.where(labels[:, None] == 0, -0.5, 0.5) * cfg.class_mean_separation
-    features = means * np.ones((1, d)) + rng.normal(0.0, cfg.noise_std, size=(n, d))
+    with np.errstate(over="ignore"):
+        features = means * np.ones((1, d)) + rng.normal(0.0, cfg.noise_std, size=(n, d))
+    if not np.all(np.isfinite(features)):
+        raise ValueError(f"class_mean_separation {cfg.class_mean_separation:g} and noise_std "
+                         f"{cfg.noise_std:g} overflow a feature to a non-finite value")
 
     train = np.zeros(n, dtype=bool)
     val = np.zeros(n, dtype=bool)

@@ -435,10 +435,10 @@ def write_dataset(ds: Dataset, out_dir) -> None:
 def _read_table(path, n: int, values: str, width: int | None = None) -> np.ndarray:
     """The value columns of a per-node table, one row per node id in order."""
     rows = _load_table(path, [("node", "i8")], values)
-    if width is not None and rows["values"].shape[1] < width:
+    if width is not None and rows["values"].shape[1] != width:
         raise ValueError(f"{path}: expected {width} value columns after the node id")
     order = _node_order(rows["node"], np.zeros(rows.size, dtype=np.int64), n, lambda r: path)
-    return rows["values"][order, :width]
+    return rows["values"][order]
 
 
 def read_dataset(in_dir) -> Dataset:
@@ -463,7 +463,10 @@ def read_dataset(in_dir) -> Dataset:
         raise ValueError(f"{src / 'labels.csv'}: node {bad[0]} has label {labels[bad[0]]}; "
                          "labels must be >= 0")
     masks = _read_table(src / "masks.csv", n, "i8", 3).astype(bool)
-    return Dataset(graph, features, labels, *masks.T)
+    try:
+        return Dataset(graph, features, labels, *masks.T)
+    except ValueError as exc:  # overlapping masks: the one fault the checks above leave
+        raise ValueError(f"{src / 'masks.csv'}: {exc}") from None
 
 
 # ------------------------------------------------------------- trajectories

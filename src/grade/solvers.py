@@ -23,6 +23,7 @@ __all__ = [
     "euler_step",
     "rk4_step",
     "integrate",
+    "fixed_step_count",
     "fixed_step_sizes",
     "fixed_steps",
     "record_trajectory",
@@ -82,7 +83,7 @@ class SolverConfig:
         if not 0 < self.step < math.inf:  # dopri5 does not read it, but the manifest records it
             raise ValueError("step must be > 0 and finite")
         if self.method in FIXED_STEP_METHODS:
-            if self.horizon / self.step > self.max_steps:
+            if fixed_step_count(self.horizon, self.step) > self.max_steps:
                 raise ValueError("horizon/step exceeds max_steps")
         else:
             if not (1e-12 <= self.rel_tol < math.inf and 1e-12 <= self.abs_tol < math.inf):
@@ -137,36 +138,34 @@ def rk4_step(f, X, t: float, step: float):
     return X + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def fixed_step_sizes(horizon: float, step: float) -> list[float]:
-    """Step sizes covering [0, horizon]: ceil(T/step) steps, last one shortened.
+def fixed_step_count(horizon: float, step: float) -> int:
+    """The steps of the fixed grid over [0, horizon]: ceil(T/step − 1e-9), at
+    least 1 when T > 0. The slack keeps float noise in T/step from adding a
+    spurious final micro-step; a T/step past the largest float counts as it."""
+    return max(int(horizon > 0), math.ceil(min(horizon / step, np.finfo(float).max) - 1e-9))
 
-    A small relative slack keeps float noise in T/step from adding a
-    spurious final micro-step.
-    """
-    if horizon == 0:
-        return []
-    count = max(1, math.ceil(horizon / step - 1e-9))
-    sizes = [step] * (count - 1)
-    sizes.append(horizon - step * (count - 1))
-    return sizes
+
+def fixed_step_sizes(horizon: float, step: float) -> list[float]:
+    """The grid's step sizes: ``step`` each, but the last, T − step·(count − 1)."""
+    count = fixed_step_count(horizon, step)
+    return [step] * (count - 1) + [horizon - step * (count - 1)] if count else []
 
 
 def fixed_steps(f, X, cfg: SolverConfig):
     """Walk the fixed-step grid of ``cfg`` from state ``X`` at t=0.
 
-    Yields ``(t, X)`` after each step; the last t is exactly the horizon.
-    Duck-typed over the state like the step functions. Overflow is not an
-    error here: it surfaces as a non-finite state, which the caller checks
-    and reports with its own diagnostic.
+    Yields ``(t, X)`` after each step: step k runs from step·(k − 1) to
+    step·k, the last to exactly the horizon. Duck-typed over the state like
+    the step functions. Overflow is not an error here: it surfaces as a
+    non-finite state, which the caller checks and reports with its own
+    diagnostic.
     """
     stepper = euler_step if cfg.method == "euler" else rk4_step
     sizes = fixed_step_sizes(cfg.horizon, cfg.step)
-    t = 0.0
-    for k, h in enumerate(sizes):
+    for k, h in enumerate(sizes, start=1):
         with np.errstate(over="ignore", invalid="ignore"):
-            X = stepper(f, X, t, h)
-        t = cfg.horizon if k == len(sizes) - 1 else t + h
-        yield t, X
+            X = stepper(f, X, cfg.step * (k - 1), h)
+        yield cfg.horizon if k == len(sizes) else cfg.step * k, X
 
 
 def _check_finite(X: np.ndarray, t: float) -> np.ndarray:
@@ -237,7 +236,7 @@ def _dopri5_steps(f, X, cfg: SolverConfig, ratios: list):
         else:
             factor = min(1.0, _SAFETY * ratio ** (-_PI_ALPHA))
         h *= min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
-        if h <= 1e-14:
+        if h <= 1e-14 and t < cfg.horizon:
             raise NumericalError(f"step size underflow at t={t:.6g}")
 
 

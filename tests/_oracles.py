@@ -404,9 +404,13 @@ def ref_by_node(rows: list[list[str]], n: int, where: str) -> list[list[str]]:
     return [by_node[i] for i in range(n)]
 
 
-def ref_read_table(path, n: int) -> list[list[str]]:
+def ref_read_table(path, n: int, width: int | None = None) -> list[list[str]]:
+    """The value fields of each node's row; the header names ``width`` of them if given."""
     with open(path, newline="") as fh:
-        return ref_by_node(list(csv.reader(fh))[1:], n, str(path))
+        head, *rows = csv.reader(fh)
+    if width is not None and len(head) - 1 != width:
+        raise ValueError(f"{path}: expected {width} value columns after the node id")
+    return ref_by_node(rows, n, str(path))
 
 
 def ref_read_dataset(in_dir) -> Dataset:
@@ -423,12 +427,18 @@ def ref_read_dataset(in_dir) -> Dataset:
     for node, row in enumerate(features):
         if not all(math.isfinite(x) for x in row):
             raise ValueError(f"{src / 'features.csv'}: node {node} has a non-finite feature")
-    labels = np.array([int(row[0]) for row in ref_read_table(src / "labels.csv", n)], dtype=np.int64)
+    labels = np.array([int(label) for (label,) in ref_read_table(src / "labels.csv", n, 1)],
+                      dtype=np.int64)
     for node, label in enumerate(labels):
         if label < 0:
             raise ValueError(f"{src / 'labels.csv'}: node {node} has label {label}; "
                              "labels must be >= 0")
-    masks = np.array([[bool(int(x)) for x in row[:3]] for row in ref_read_table(src / "masks.csv", n)])
+    masks = np.array([[bool(int(x)) for x in row]
+                      for row in ref_read_table(src / "masks.csv", n, 3)])
+    for node, row in enumerate(masks):
+        if row.sum() > 1:
+            raise ValueError(f"{src / 'masks.csv'}: masks must be disjoint: node {node} is in "
+                             "more than one")
     return Dataset(graph, features, labels, *masks.T)
 
 

@@ -481,6 +481,65 @@ def test_config_max_steps_is_honoured(dataset_dir, tmp_path, capsys):
     assert "max_steps=3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, steps", [
+    (["--step", "0.0003", "--horizon", "30", "--record-every", "100000"], 100_000),
+    (["--method", "dopri5", "--horizon", "1e-15"], 1),
+], ids=["max-steps-steps", "dopri5-tiny-horizon"])
+def test_a_grid_that_reaches_the_horizon_exits_zero(tmp_path, capsys, flags, steps):
+    # 30/0.0003 is just above max_steps=100000, yet the grid has exactly that many
+    # steps; dopri5's one step to T=1e-15 leaves h below its underflow bound
+    assert dispatch(["generate", "--n", "20", "--seed", "1", "--out", str(tmp_path / "ds")]) == 0
+    out = tmp_path / "run"
+    assert dispatch(["simulate", "--dataset", str(tmp_path / "ds"), "--aggregation", "off",
+                     *flags, "--out", str(out)]) == 0
+    assert f"with {steps} steps" in capsys.readouterr().out
+    horizon = float(flags[flags.index("--horizon") + 1])
+    assert gio.read_trajectory_csv(out / "trajectory.csv").times[-1] == horizon
+
+
+def test_a_step_count_past_the_largest_float_exits_one_with_one_error_line(dataset_dir,
+                                                                           tmp_path, capsys):
+    capsys.readouterr()
+    assert dispatch(["simulate", "--dataset", str(dataset_dir), "--horizon", "1e300",
+                     "--step", "1e-300", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: horizon/step exceeds max_steps\n"
+
+
+def test_generate_exits_one_before_writing_a_feature_that_overflows(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert dispatch(["generate", "--n", "4", "--noise-std", "1e308", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: class_mean_separation 1 and noise_std 1e+308 overflow")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_a_node_in_two_masks_exits_one_naming_the_file_and_the_node(dataset_dir, tmp_path,
+                                                                     capsys):
+    _rewrite_rows(dataset_dir / "masks.csv",
+                  lambda rows: rows[:7] + [[rows[7][0], "1", "1", "0"]] + rows[8:])
+    assert dispatch(["train", "--dataset", str(dataset_dir), "--epochs", "1",
+                     "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (f"error: {dataset_dir / 'masks.csv'}: masks must be "
+                                       "disjoint: node 7 is in more than one\n")
+
+
+@pytest.mark.parametrize("name, header", [
+    ("labels.csv", "node,label,label2"), ("masks.csv", "node,train,val,test,extra")])
+def test_a_table_wider_than_its_columns_exits_one_naming_the_file(dataset_dir, tmp_path,
+                                                                  capsys, name, header):
+    # each row carries the extra column its header names, so no row is malformed
+    path = dataset_dir / name
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header.split(",")] + [row + ["0"] for row in rows[1:]])
+    assert dispatch(["train", "--dataset", str(dataset_dir), "--epochs", "1",
+                     "--out", str(tmp_path / "x")]) == 1
+    expected = header.count(",") - 1  # one value column fewer than the header names
+    assert capsys.readouterr().err == (f"error: {path}: expected {expected} value columns "
+                                       "after the node id\n")
+
+
 def _rewrite_rows(path, edit):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))

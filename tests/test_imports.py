@@ -7,7 +7,8 @@ home: ``io._loadtxt`` parses text tables and finds their faults without
 seeking back, only ``dynamics`` and ``kernels`` ask whether a setting is
 'attention', every config is built by its ``from_json`` (no ``asdict``), and
 the clamped kernel kinds, the simulate flags and the grad-check tolerance are
-each spelled once."""
+each spelled once. ``solvers.fixed_step_count`` alone divides the horizon, and
+``solvers.fixed_steps`` dates its steps without summing them."""
 import ast
 import os
 import re
@@ -156,3 +157,26 @@ def test_no_config_is_built_by_asdict_and_no_setting_is_spelled_twice():
                 found += [f"{name}:{node.lineno} {node.value!r}" for node in ast.walk(fn)
                           if isinstance(node, ast.Constant) and spelled(node.value)]
     assert len(checked) == 3 and found == []
+
+
+def test_only_fixed_step_count_divides_the_horizon_and_fixed_steps_sums_no_times():
+    # the fixed grid's count has one home; step k ends at step·k, not at a running t + h
+    def names(node):
+        return sorted(getattr(side, "attr", getattr(side, "id", ""))
+                      for side in (node.left, node.right))
+
+    home, divisions, sums = set(), [], []
+    for name, tree in _sources():
+        for node in ast.walk(tree):  # a function before what it holds
+            if isinstance(node, ast.FunctionDef) and name == "solvers.py":
+                if node.name == "fixed_step_count":
+                    home |= {id(sub) for sub in ast.walk(node)}
+                elif node.name == "fixed_steps":
+                    sums += [f"solvers.py:{sub.lineno}" for sub in ast.walk(node)
+                             if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Add)
+                             and names(sub) == ["h", "t"]]
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.FloorDiv)) \
+                    and "horizon" in names(node):
+                divisions.append((f"{name}:{node.lineno}", id(node) in home))
+    assert [inside for _, inside in divisions] == [True], divisions
+    assert sums == []

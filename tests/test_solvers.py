@@ -1,6 +1,10 @@
 """Step functions, trajectory recording, and integrator accuracy."""
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grade import (
     ActivationSpec,
@@ -15,7 +19,7 @@ from grade import (
     rk4_step,
 )
 from grade import solvers
-from grade.solvers import fixed_step_sizes
+from grade.solvers import fixed_step_sizes, fixed_steps, record_trajectory
 
 
 def _zero(X, t):
@@ -92,6 +96,51 @@ def test_fixed_step_grid():
     assert sizes[-1] == pytest.approx(0.1)
     assert sum(sizes) == pytest.approx(1.0)
     assert fixed_step_sizes(0.0, 0.5) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(step=st.floats(1e-3, 10.0), k=st.integers(1, 300),
+       offset=st.one_of(st.just(0.0), st.floats(1e-14, 1e-6)), slack=st.integers(-2, 2))
+def test_the_grid_has_one_count_and_step_k_ends_at_step_times_k(step, k, offset, slack):
+    # k·step and horizons just above it: within the 1e-9 slack the grid keeps k steps
+    horizon = k * step + offset * step
+    count = len(fixed_step_sizes(horizon, step))
+    max_steps = max(1, count + slack)
+    try:
+        SolverConfig("euler", step=step, horizon=horizon, max_steps=max_steps)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == "horizon/step exceeds max_steps"
+        accepted = False
+    assert accepted == (count <= max_steps)
+
+    cfg = SolverConfig("euler", step=step, horizon=horizon, max_steps=count)
+    times = [t for t, _ in fixed_steps(lambda X, t: 0.0, 0.0, cfg)]
+    assert times == [step * j for j in range(1, count)] + [horizon]
+    assert all(np.diff([0.0, *times]) > 0)
+
+
+def test_a_horizon_past_the_sum_of_its_steps_keeps_its_times_rising():
+    # 50000 additions of 0.1 overshoot 5000.0000000002; 0.1·50000 does not
+    cfg = SolverConfig("euler", step=0.1, horizon=5000.0000000002)
+    started = time.perf_counter()
+    traj = record_trajectory(0.0, fixed_steps(lambda X, t: 0.0, 0.0, cfg), 1)
+    assert time.perf_counter() - started < 1.0
+    assert traj.step_count == 50001
+    assert traj.times[-2] == 0.1 * 50000 == 5000.0 and traj.times[-1] == cfg.horizon
+
+
+def test_exactly_max_steps_steps_are_accepted():
+    # 30/0.0003 is 100000.00000000001 in floats, but the grid has 100000 steps
+    assert len(fixed_step_sizes(30.0, 0.0003)) == 100_000
+    SolverConfig("euler", step=0.0003, horizon=30.0, max_steps=100_000)
+    with pytest.raises(ValueError, match="horizon/step exceeds max_steps"):
+        SolverConfig("euler", step=0.0003, horizon=30.0, max_steps=99_999)
+
+
+def test_dopri5_reaching_a_tiny_horizon_reports_no_underflow():
+    traj = integrate(lambda X, t: -X, np.ones((1, 1)), SolverConfig("dopri5", horizon=1e-15))
+    assert traj.times[-1] == 1e-15 and traj.step_count == 1
 
 
 def test_integrate_euler_grid_times():
