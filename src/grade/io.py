@@ -207,19 +207,26 @@ def _columns(*columns):
     return len(columns[0]), lambda lo, hi: [c[lo:hi] for c in columns]
 
 
-def _load_table(path, lead: list[tuple[str, str]], values: str) -> np.ndarray:
+def _load_table(path, lead: list[tuple[str, str]], values: str,
+                width: int | None = None) -> np.ndarray:
     """The rows under a CSV header as one structured array.
 
     Its fields are the ``lead`` (name, dtype) columns, then ``values``: one
     column of that dtype for each further name in the header, so a row with
-    another column count is an error naming its line. A decimal literal
-    parses to the same number as ``int()`` or ``float()`` gives; a file
-    without rows gives zero rows.
+    another column count is an error naming its line. The header must name
+    ``width`` value columns, or at least 1 feature column when ``width`` is
+    None. A decimal literal parses to the same number as ``int()`` or
+    ``float()`` gives; a file without rows gives zero rows.
     """
     with _text_faults(path), open(path) as fh:
-        width = max(fh.readline().count(",") + 1 - len(lead), 0)
-        dtype = np.dtype(lead + [("values", values, (width,))])
-        return _loadtxt(path, _numbered_blocks(fh, 2), dtype, delimiter=",")
+        found = max(fh.readline().count(",") + 1 - len(lead), 0)
+        dtype = np.dtype(lead + [("values", values, (found,))])
+        rows = _loadtxt(path, _numbered_blocks(fh, 2), dtype, delimiter=",")
+    if width is None and not found:
+        raise ValueError(f"{path}: expected at least 1 feature column after the node id")
+    if width is not None and found != width:
+        raise ValueError(f"{path}: expected {width} value columns after the node id")
+    return rows
 
 
 @contextmanager
@@ -434,26 +441,23 @@ def write_dataset(ds: Dataset, out_dir) -> None:
 
 def _read_table(path, n: int, values: str, width: int | None = None) -> np.ndarray:
     """The value columns of a per-node table, one row per node id in order."""
-    rows = _load_table(path, [("node", "i8")], values)
-    if width is not None and rows["values"].shape[1] != width:
-        raise ValueError(f"{path}: expected {width} value columns after the node id")
+    rows = _load_table(path, [("node", "i8")], values, width)
     order = _node_order(rows["node"], np.zeros(rows.size, dtype=np.int64), n, lambda r: path)
     return rows["values"][order]
 
 
 def read_dataset(in_dir) -> Dataset:
-    """Read a bundle; every per-node file must list each node exactly once."""
+    """Read a bundle of at least one node; every per-node file must list each node exactly once."""
     src = Path(in_dir)
     for name in ("graph.txt", "features.csv", "labels.csv", "masks.csv"):
         if not (src / name).exists():
             raise FileNotFoundError(f"dataset bundle is missing {name}")
     graph = read_edge_list(src / "graph.txt")
     n = graph.n
+    if not n:
+        raise ValueError(f"{src / 'graph.txt'}: expected at least 1 node")
 
     features = _read_table(src / "features.csv", n, "f8")
-    if not features.shape[1]:
-        raise ValueError(f"{src / 'features.csv'}: expected at least 1 feature column "
-                         "after the node id")
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         raise ValueError(f"{src / 'features.csv'}: node {bad[0][0]} has a non-finite feature")

@@ -405,23 +405,28 @@ def ref_by_node(rows: list[list[str]], n: int, where: str) -> list[list[str]]:
 
 
 def ref_read_table(path, n: int, width: int | None = None) -> list[list[str]]:
-    """The value fields of each node's row; the header names ``width`` of them if given."""
+    """The value fields of each node's row; the header names ``width`` of them if
+    given, else at least 1."""
     with open(path, newline="") as fh:
         head, *rows = csv.reader(fh)
+    if width is None and len(head) < 2:
+        raise ValueError(f"{path}: expected at least 1 feature column after the node id")
     if width is not None and len(head) - 1 != width:
         raise ValueError(f"{path}: expected {width} value columns after the node id")
     return ref_by_node(rows, n, str(path))
 
 
 def ref_read_dataset(in_dir) -> Dataset:
-    """Read a bundle; every per-node file must list each node exactly once,
-    and every label must be >= 0."""
+    """Read a bundle of at least one node; every per-node file must list each
+    node exactly once, and every label must be >= 0."""
     src = Path(in_dir)
     for name in ("graph.txt", "features.csv", "labels.csv", "masks.csv"):
         if not (src / name).exists():
             raise FileNotFoundError(f"dataset bundle is missing {name}")
     graph = ref_read_edge_list(src / "graph.txt")
     n = graph.n
+    if n == 0:
+        raise ValueError(f"{src / 'graph.txt'}: expected at least 1 node")
 
     features = np.array([[float(x) for x in row] for row in ref_read_table(src / "features.csv", n)])
     for node, row in enumerate(features):
@@ -453,9 +458,12 @@ def ref_write_trajectory_csv(traj: Trajectory, path) -> None:
 def ref_read_trajectory_csv(path) -> Trajectory:
     """Read the long format; every record lists the first record's nodes once, all finite.
 
-    Times must be finite and rise from record to record, checked before the nodes."""
+    The header names at least 1 feature column. Times must be finite and rise
+    from record to record, checked before the nodes."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if len(rows[0] if rows else []) < 3:  # an empty file names no column either
+        raise ValueError(f"{path}: expected at least 1 feature column after the node id")
     by_time: dict[float, list[list[str]]] = {}
     for row in rows[1:]:
         t = float(row[0])

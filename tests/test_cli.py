@@ -153,14 +153,18 @@ def test_energy_from_existing_trajectory(dataset_dir, tmp_path):
     assert (out / "energy.csv").exists()
 
 
-def test_energy_reads_a_trajectory_without_feature_columns(dataset_dir, tmp_path):
-    # the writer's own `time,node` file: no coordinates, so no spread and one cluster
-    gio.write_trajectory_csv(Trajectory(np.array([0.0, 1.0]), np.zeros((2, 100, 0)), 1),
-                             tmp_path / "t.csv")
+def test_energy_rejects_a_trajectory_without_feature_columns(dataset_dir, tmp_path, capsys):
+    # the writer's own `time,node` file holds no coordinates: like a features.csv
+    # without them it is refused, not read as a collapse to zero energy
+    path = tmp_path / "t.csv"
+    gio.write_trajectory_csv(Trajectory(np.array([0.0, 1.0]), np.zeros((2, 100, 0)), 1), path)
+    capsys.readouterr()
     out = tmp_path / "energy"
-    assert dispatch(["energy", "--dataset", str(dataset_dir), "--trajectory",
-                     str(tmp_path / "t.csv"), "--out", str(out)]) == 0
-    assert (out / "energy.csv").read_text().splitlines()[1:] == ["0,0,0,1", "1,0,0,1"]
+    assert dispatch(["energy", "--dataset", str(dataset_dir), "--trajectory", str(path),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: expected at least 1 feature column "
+                                       "after the node id\n")
+    assert not out.exists()
 
 
 def test_energy_on_features_whose_distances_overflow_warns_nothing(tmp_path):
@@ -230,6 +234,18 @@ def test_node_only_features_exit_1_naming_the_file(dataset_dir, tmp_path, capsys
     code = dispatch([*command, "--dataset", str(dataset_dir), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "features.csv: expected at least 1 feature column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["energy"], ["train", "--epochs", "1"]])
+def test_a_bundle_of_no_nodes_exits_1_naming_graph_txt(tmp_path, capsys, command):
+    # a graph of no nodes is a valid library value, but no command has a node to run on
+    bundle, none = tmp_path / "ds", np.zeros(0, dtype=bool)
+    gio.write_dataset(Dataset(from_edge_list(0, []), np.zeros((0, 2)), np.zeros(0, np.int64),
+                              none, none, none), bundle)
+    out = tmp_path / "out"
+    assert dispatch([*command, "--dataset", str(bundle), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bundle / 'graph.txt'}: expected at least 1 node\n"
+    assert not out.exists()
 
 
 def test_energy_from_trajectory_rejects_dynamics_settings(dataset_dir, tmp_path, capsys):

@@ -8,17 +8,43 @@ seeking back, only ``dynamics`` and ``kernels`` ask whether a setting is
 'attention', every config is built by its ``from_json`` (no ``asdict``), and
 the clamped kernel kinds, the simulate flags and the grad-check tolerance are
 each spelled once. ``solvers.fixed_step_count`` alone divides the horizon, and
-``solvers.fixed_steps`` dates its steps without summing them."""
+``solvers.fixed_steps`` dates its steps without summing them. A bare ``import
+grade`` loads no submodule and not numpy: one export table in ``__init__``
+spells each public name once and imports its module on first use, so
+``__init__`` has no ``from .x import``; ``grade.X`` is its home module's
+object, the eight modules it loaded eagerly before stay attributes, and an
+unknown name is an ``AttributeError``. The version is spelled once, as
+``grade.__version__``, which ``pyproject.toml`` reads."""
 import ast
 import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
+import pytest
+
+import grade
 from grade.kernels import KERNEL_KINDS
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+INIT = SRC / "grade" / "__init__.py"
+# grade.__all__ when __init__ imported every name eagerly
+PUBLIC = {
+    "__version__", "ActivationSpec", "ClusterProfile", "CsbmConfig", "Dataset", "DynamicsConfig",
+    "EnergySeries", "Graph", "KernelMatrix", "KernelSpec", "ModelParams", "NumericalError",
+    "ProjectionParams", "SolverConfig", "TrainConfig", "Trajectory", "aggregation_term",
+    "attention_adjacency", "cluster_count", "csbm_generate", "default_cluster_eps",
+    "diffusion_term", "dirichlet_energy", "euler_step", "feature_spread", "finite_difference_grad",
+    "forward", "from_edge_list", "gradient_check", "integrate", "kernel_matrix", "kernel_scalar",
+    "loss", "loss_and_grad", "metastability_profile", "min_degree_node", "oversmoothing_verdict",
+    "rhs", "rk4_step", "row_normalize", "row_normalized_adjacency", "train",
+}
+# the submodules that a bare `import grade` made attributes when it loaded them eagerly
+ATTRIBUTE_MODULES = ["autodiff", "codec", "diagnostics", "dynamics", "graph", "kernels",
+                     "solvers", "training"]
 
 _CHILD = """
 import sys
@@ -66,11 +92,75 @@ def _sources():
         yield path.name, ast.parse(path.read_text())
 
 
-def test_generate_imports_no_scipy_and_simulate_loads_it(tmp_path):
-    proc = subprocess.run([sys.executable, "-c", _CHILD, str(tmp_path)],
+def _fresh(code: str, *args: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter with grade on ``src``."""
+    proc = subprocess.run([sys.executable, "-c", code, *args],
                           env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_generate_imports_no_scipy_and_simulate_loads_it(tmp_path):
+    _fresh(_CHILD, str(tmp_path))
+
+
+def test_a_bare_import_loads_no_submodule_and_no_numpy():
+    loaded = _fresh("import sys, grade\n"
+                    "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                    "('grade', 'numpy', 'scipy')))")
+    assert loaded.split() == ["['grade']"]
+
+
+def test_every_public_name_is_the_object_of_its_home_module():
+    assert set(grade.__all__) == PUBLIC and len(grade.__all__) == len(PUBLIC)
+    namespace = {}
+    exec("from grade import *", namespace)
+    for name in PUBLIC - {"__version__"}:
+        value = getattr(grade, name)
+        assert value is getattr(sys.modules[value.__module__], name) is namespace[name], name
+        assert value.__module__.startswith("grade."), name
+    assert set(ATTRIBUTE_MODULES) <= set(dir(grade)) and PUBLIC <= set(dir(grade))
+
+
+def test_the_eight_modules_resolve_as_attributes_after_a_bare_import():
+    # io and cli resolve only once imported, through the import system's fallback
+    out = _fresh("import importlib, grade\n"
+                 f"for name in {ATTRIBUTE_MODULES!r}:\n"
+                 "    assert getattr(grade, name) is importlib.import_module(f'grade.{name}')\n"
+                 "print(hasattr(grade, 'io'), hasattr(grade, 'cli'))\n"
+                 "from grade import io\n"
+                 "import grade.cli\n"
+                 "print(grade.io is io, grade.cli.__name__)")
+    assert out.split("\n")[:2] == ["False False", "True grade.cli"]
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'grade' has no attribute 'no_such_name'"):
+        grade.no_such_name  # noqa: B018
+    assert not hasattr(grade, "no_such_name")
+    with pytest.raises(ImportError):
+        from grade import no_such_name  # noqa: F401
+
+
+def test_init_imports_no_name_and_spells_each_public_name_once():
+    tree = ast.parse(INIT.read_text())
+    relative = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level]
+    spelled = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and node.value in PUBLIC]
+    assert relative == [] and sorted(spelled) == sorted(PUBLIC)
+
+
+def test_the_version_is_spelled_once_in_grade_and_read_by_pyproject():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in project["project"] and "version" in project["project"]["dynamic"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "grade.__version__"}
+    # setuptools reads the attribute statically: a module-level assignment of a string
+    versions = [node.value.value for node in ast.parse(INIT.read_text()).body
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                and [getattr(t, "id", None) for t in node.targets] == ["__version__"]]
+    assert versions == [grade.__version__] and isinstance(grade.__version__, str)
 
 
 def test_only_graph_imports_scipy_and_one_call_builds_a_csr_array():

@@ -11,6 +11,7 @@ import pytest
 
 from grade import (
     CsbmConfig,
+    Dataset,
     DynamicsConfig,
     KernelSpec,
     ModelParams,
@@ -22,7 +23,7 @@ from grade import (
 from grade import io as gio
 from grade.training import EpochMetrics
 
-from _oracles import ref_write_trajectory_csv
+from _oracles import ref_read_dataset, ref_read_trajectory_csv, ref_write_trajectory_csv
 
 
 def test_edge_list_roundtrip(tmp_path):
@@ -137,6 +138,27 @@ def test_features_without_a_feature_column_are_rejected_naming_the_file(tmp_path
     (tmp_path / "features.csv").write_text("\n".join(line.split(",")[0] for line in lines))
     with pytest.raises(ValueError, match=r"features.csv: expected at least 1 feature column"):
         gio.read_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("text", ["time,node\r\n0,0\r\n0,1\r\n", ""])
+def test_a_trajectory_without_a_feature_column_is_rejected_naming_the_file(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    for read in (gio.read_trajectory_csv, ref_read_trajectory_csv):
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: expected at least 1 feature column after the node id"
+
+
+def test_a_bundle_of_no_nodes_is_rejected_naming_graph_txt(tmp_path):
+    none = np.zeros(0, dtype=bool)
+    gio.write_dataset(Dataset(from_edge_list(0, []), np.zeros((0, 1)), np.zeros(0, np.int64),
+                              none, none, none), tmp_path)
+    assert gio.read_edge_list(tmp_path / "graph.txt").n == 0  # a graph of no nodes stays readable
+    for read in (gio.read_dataset, ref_read_dataset):
+        with pytest.raises(ValueError) as info:
+            read(tmp_path)
+        assert str(info.value) == f"{tmp_path / 'graph.txt'}: expected at least 1 node"
 
 
 def test_integer_parsed_via_a_float_is_an_error(tmp_path, monkeypatch):
@@ -342,8 +364,8 @@ def test_table_encoder_reads_column_views_of_any_layout(tmp_path, monkeypatch, b
 
 
 def test_trajectory_without_features_is_written_as_time_and_node(tmp_path):
-    # read_dataset refuses zero-width features, but a Trajectory may hold
-    # them, and `energy --trajectory` reads such a file back
+    # a Trajectory may hold zero-width features; read_trajectory_csv refuses
+    # such a file back, as read_dataset refuses a features.csv without columns
     traj = Trajectory(np.array([0.0, 0.5]), np.zeros((2, 3, 0)), 1)
     gio.write_trajectory_csv(traj, tmp_path / "t.csv")
     ref_write_trajectory_csv(traj, tmp_path / "ref.csv")
